@@ -118,16 +118,13 @@ def _parse_scenario(cfg):
         poisson_arrivals=bool(cfg.get("poisson_arrivals", False)),
     )
     wl_cfg = cfg.get("workload", {})
-    _check_keys(wl_cfg, _WORKLOAD_KEYS, "workload")
     law = _parse_workload(wl_cfg, C, horizon)
     if law is not None:
         kwargs["workload"] = law
     else:
-        for src, dst in (("base_rate", "base_rate"), ("amplitude", "amplitude"),
-                         ("perturbation_sd", "perturbation_sd"),
-                         ("perturbation_persistence", "perturbation_persistence")):
-            if src in wl_cfg:
-                kwargs[dst] = float(wl_cfg[src])
+        for key in ("base_rate", "amplitude", "perturbation_sd", "perturbation_persistence"):
+            if key in wl_cfg:
+                kwargs[key] = float(wl_cfg[key])
     if "demands" in cfg:
         demands = np.asarray(cfg["demands"], dtype=float)
         if demands.shape != (C, K):

@@ -52,12 +52,9 @@ class PlanOutcome:
     feasible: bool
 
 
-def _class_response_terms(total_d_row, floor, counts):
-    """Per-station contribution of one class: D_ck*M_k*N_k / (N_k - floor_k)."""
-    out = np.zeros_like(total_d_row)
-    used = total_d_row > 0.0
-    out[used] = total_d_row[used] * counts[used] / (counts[used] - floor[used])
-    return out
+def _terms(total_d, counts, floor):
+    """Response terms D_ck*M_k*N_k / (N_k - floor_k), zero where unused."""
+    return np.where(total_d > 0.0, total_d * counts / (counts - floor), 0.0)
 
 
 def check_attainable(base, sla):
@@ -84,24 +81,20 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     floor = capacity_floor(base)
     total_d = base.total_demands()
     limits = sla.max_response
-    iters = 0
     rt = predict_response(base, Configuration(counts))
-    while np.any(rt.per_class > limits):
+    # Residence table of predict_response, kept current one column per move.
+    per_cs, per_class = rt.per_class_station.copy(), rt.per_class
+    iters = 0
+    while np.any(per_class > limits):
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
-        b = int(np.argmax((rt.per_class - limits) / limits))
-        terms_now = _class_response_terms(total_d[b], floor, counts)
-        terms_inc = np.empty_like(terms_now)
-        for k in range(counts.shape[0]):
-            nk = counts[k]
-            if total_d[b, k] > 0.0:
-                terms_inc[k] = total_d[b, k] * (nk + 1) / (nk + 1 - floor[k])
-            else:
-                terms_inc[k] = 0.0
-        j = int(np.argmax(terms_now - terms_inc))
+        b = int(np.argmax((per_class - limits) / limits))
+        gain = _terms(total_d[b], counts, floor) - _terms(total_d[b], counts + 1, floor)
+        j = int(np.argmax(gain))
         counts[j] += 1
-        rt = predict_response(base, Configuration(counts))
+        per_cs[:, j] = total_d[:, j] / (counts[j] - floor[j])
+        per_class = per_cs @ counts
     return Configuration(counts), iters
 
 
@@ -119,33 +112,47 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     limits = sla.max_response
     total_d = base.total_demands()
     # Candidates must stay strictly above the capacity floor after removal.
-    candidates = [k for k in range(counts.shape[0]) if counts[k] - 1 > floor[k]]
+    candidates = counts - 1 > floor
     iters = 0
-    while candidates:
+    if not candidates.any():
+        return Configuration(counts), iters
+    rt = predict_response(base, Configuration(counts))
+    per_cs, per_class = rt.per_class_station.copy(), rt.per_class
+    # Terms at the current counts and at one fewer instance (+inf: no candidate).
+    terms = _terms(total_d, counts, floor)
+    fewer = np.full_like(terms, np.inf)
+    fewer[:, candidates] = _terms(total_d[:, candidates], counts[candidates] - 1,
+                                  floor[candidates])
+    while candidates.any():
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("release exceeded %d iterations" % iteration_cap)
-        rt = predict_response(base, Configuration(counts))
-        d = int(np.argmin((limits - rt.per_class) / limits))
-        best_j = -1
-        best_r = np.inf
-        for j in candidates:
-            trial = counts.copy()
-            trial[j] -= 1
-            r_d = _class_response_terms(total_d[d], floor, trial).sum()
-            if r_d < best_r:
-                best_r = r_d
-                best_j = j
-        trial = counts.copy()
-        trial[best_j] -= 1
-        rt_trial = predict_response(base, Configuration(trial))
-        if np.any(rt_trial.per_class > limits):
+        d = int(np.argmin((limits - per_class) / limits))
+        cost = fewer[d] - terms[d]
+        j = int(np.argmin(cost))
+        # Marginals within rounding of the minimum are re-ranked on class d's
+        # exact response sums; argmin keeps the first minimum in index order.
+        tol = 8 * cost.size * np.finfo(np.float64).eps * (terms[d].sum() + abs(cost[j]))
+        near = np.flatnonzero(cost <= cost[j] + tol)
+        if near.size > 1:
+            rows = np.repeat(terms[d:d + 1], near.size, axis=0)
+            rows[np.arange(near.size), near] = fewer[d, near]
+            j = int(near[np.argmin(rows.sum(axis=1))])
+        n = counts[j] - 1
+        per_cs[:, j] = total_d[:, j] / (n - floor[j])
+        counts[j] = n
+        trial = per_cs @ counts
+        if np.any(trial > limits):
             # Increments are additive, so this station can never be shrunk.
-            candidates.remove(best_j)
+            counts[j], per_cs[:, j] = n + 1, total_d[:, j] / (n + 1 - floor[j])
         else:
-            counts = trial
-            if not counts[best_j] - 1 > floor[best_j]:
-                candidates.remove(best_j)
+            per_class = trial
+            terms[:, j] = fewer[:, j]
+            if n - 1 > floor[j]:
+                fewer[:, j] = _terms(total_d[:, j], n - 1, floor[j])
+                continue
+        candidates[j] = False
+        fewer[:, j] = np.inf
     return Configuration(counts), iters
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from ..errors import InfeasibleConfiguration
-from ..model import BaselineSnapshot, Configuration, capacity_floor
+from ..model import BaselineSnapshot, Configuration, predict_response
 from .des_kernel import FCFS, PS, des_loop
 
 DISCIPLINES = {"ps": PS, "processor-sharing": PS, "fcfs": FCFS}
@@ -79,12 +78,8 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
-    floor = capacity_floor(base)
+    predict_response(base, config)  # raises InfeasibleConfiguration at or below the floor
     total_d = base.total_demands()
-    used = total_d.sum(axis=0) > 0
-    bad = used & (config.counts <= floor)
-    if np.any(bad):
-        raise InfeasibleConfiguration(np.flatnonzero(bad).tolist())
 
     rates = base.rates.rates
     C, K = total_d.shape
@@ -120,6 +115,10 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     if n_dropped:
         raise RuntimeError("active-job capacity exceeded (%d arrivals dropped); "
                            "the configuration is too close to saturation" % n_dropped)
+    lost = (max(n_comp - comp_class.shape[0], 0), max(n_vis - vis_class.shape[0], 0))
+    if any(lost):
+        raise RuntimeError("record buffers exceeded (%d completion and %d visit "
+                           "records dropped)" % lost)
 
     comp_class = comp_class[:n_comp]
     comp_resp = comp_resp[:n_comp]

@@ -39,7 +39,9 @@ def _des_loop(rates, service_means, counts, inst_offset, first_st, next_st,
     Returns completion records, per-visit records (with the instance chosen),
     per-instance busy time inside [warmup, run_length], per-class-per-instance
     visit counts inside the same window, and the number of dropped arrivals
-    (nonzero only if the active-job capacity overflowed).
+    (nonzero only if the active-job capacity overflowed).  The completion and
+    visit counts run on past `comp_cap`/`visit_cap`, which cap only the
+    records stored: a count above its cap means records were lost.
     """
     np.random.seed(seed)
     C = rates.shape[0]
@@ -152,7 +154,7 @@ def _des_loop(rates, service_means, counts, inst_offset, first_st, next_st,
                 vis_inst[n_vis] = i
                 vis_res[n_vis] = t - a_enter[j]
                 vis_time[n_vis] = t
-                n_vis += 1
+            n_vis += 1
             nj[i] -= 1
             nk = next_st[c, k]
             if nk < 0:
@@ -160,7 +162,7 @@ def _des_loop(rates, service_means, counts, inst_offset, first_st, next_st,
                     comp_class[n_comp] = c
                     comp_resp[n_comp] = t - a_start[j]
                     comp_time[n_comp] = t
-                    n_comp += 1
+                n_comp += 1
                 n_active -= 1
                 m = n_active
                 a_class[j] = a_class[m]
@@ -191,7 +193,7 @@ def _des_loop(rates, service_means, counts, inst_offset, first_st, next_st,
                     comp_class[n_comp] = ac
                     comp_resp[n_comp] = 0.0
                     comp_time[n_comp] = t
-                    n_comp += 1
+                n_comp += 1
             elif n_active < MAX_ACTIVE:
                 j = n_active
                 n_active += 1

@@ -86,8 +86,3 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
         util = np.minimum(util * rng.lognormal(0.0, sigma, size=util.shape), UTIL_CLAMP)
     measured_demands = resid * (1.0 - util)[np.newaxis, :]
     return make_snapshot(config, rates, measured_demands)
-
-
-def observe_window(window, true_demands_unit, config, noise=NO_NOISE):
-    """Convenience: rate estimation from a window, then observation."""
-    return observe(measure_rates(window), true_demands_unit, config, noise)

@@ -3,7 +3,8 @@ import pytest
 
 from qnas.errors import InfeasibleConfiguration
 from qnas.model import make_snapshot, predict_response, rescale_snapshot
-from qnas.simkit import des_validate, subseed
+from qnas.simkit import des, des_validate, subseed
+from qnas.simkit.des_kernel import PS, des_loop
 
 from conftest import DEMO_DEMANDS, DEMO_RATES
 
@@ -137,3 +138,38 @@ class TestValidation:
         r = des_validate(base, [1], "ps", run_length=1e4, seed=4)
         assert r.response_hw[0] > 0
         assert r.response_hw[0] < r.response[0]
+
+
+class TestRecordCaps:
+    """Records past the buffer caps are counted, never dropped silently."""
+
+    @staticmethod
+    def mm1_loop(comp_cap, visit_cap):
+        # One class, one station, lambda=0.5, D=1.0; run_length 400 yields
+        # about 200 completions and as many visits.
+        return des_loop(np.array([0.5]), np.array([[1.0]]), np.array([1]),
+                        np.array([0]), np.array([0]), np.array([[-1]]),
+                        PS, 400.0, 80.0, 9, comp_cap, visit_cap)
+
+    def test_counts_continue_past_cap(self):
+        full = self.mm1_loop(10_000, 10_000)
+        tiny = self.mm1_loop(5, 7)
+        n_comp, n_vis = full[0], full[4]
+        assert n_comp > 5 and n_vis > 7
+        # Same counts, and the stored records are the first ones of the same
+        # random stream.
+        assert tiny[0] == n_comp and tiny[4] == n_vis
+        assert tiny[1].shape == (5,) and tiny[5].shape == (7,)
+        np.testing.assert_array_equal(tiny[2], full[2][:5])
+        np.testing.assert_array_equal(tiny[8], full[8][:7])
+        for a, b in zip(tiny[10:], full[10:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_validate_raises_on_overflow(self, monkeypatch):
+        def capped(*args):
+            return des_loop(*args[:-2], 5, 7)
+
+        monkeypatch.setattr(des, "des_loop", capped)
+        base = make_snapshot([1], [0.5], [[1.0]])
+        with pytest.raises(RuntimeError, match="record buffers exceeded"):
+            des_validate(base, [1], "ps", run_length=400, seed=9)

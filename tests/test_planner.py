@@ -3,17 +3,133 @@ import itertools
 import numpy as np
 import pytest
 
-from qnas.errors import InfeasibleConfiguration, UnattainableSla
+from qnas.errors import InfeasibleConfiguration, IterationCap, UnattainableSla
 from qnas.model import (
     Configuration,
+    asymptotic_floor,
     capacity_floor,
+    make_snapshot,
     min_feasible_config,
     predict_response,
     rescale_snapshot,
 )
-from qnas.planner import PlanOutcome, SlaThresholds, acquire, plan_step, release
+from qnas.planner import (
+    DEFAULT_ITERATION_CAP,
+    PlanOutcome,
+    SlaThresholds,
+    acquire,
+    check_attainable,
+    plan_step,
+    release,
+)
 
 from conftest import random_baseline
+
+
+# -- Reference oracle: the original per-candidate planner, kept verbatim. ----
+# The table-driven acquire/release must reproduce its decisions exactly,
+# including ties, which break on exact float comparison.
+
+def _class_response_terms(total_d_row, floor, counts):
+    """Per-station contribution of one class: D_ck*M_k*N_k / (N_k - floor_k)."""
+    out = np.zeros_like(total_d_row)
+    used = total_d_row > 0.0
+    out[used] = total_d_row[used] * counts[used] / (counts[used] - floor[used])
+    return out
+
+
+def reference_acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+    if sla.num_classes != base.num_classes:
+        raise ValueError("threshold vector length does not match C")
+    check_attainable(base, sla)
+    counts = np.maximum(base.ref_config.counts, min_feasible_config(base).counts)
+    floor = capacity_floor(base)
+    total_d = base.total_demands()
+    limits = sla.max_response
+    iters = 0
+    rt = predict_response(base, Configuration(counts))
+    while np.any(rt.per_class > limits):
+        iters += 1
+        if iters > iteration_cap:
+            raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
+        b = int(np.argmax((rt.per_class - limits) / limits))
+        terms_now = _class_response_terms(total_d[b], floor, counts)
+        terms_inc = np.empty_like(terms_now)
+        for k in range(counts.shape[0]):
+            nk = counts[k]
+            if total_d[b, k] > 0.0:
+                terms_inc[k] = total_d[b, k] * (nk + 1) / (nk + 1 - floor[k])
+            else:
+                terms_inc[k] = 0.0
+        j = int(np.argmax(terms_now - terms_inc))
+        counts[j] += 1
+        rt = predict_response(base, Configuration(counts))
+    return Configuration(counts), iters
+
+
+def reference_release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+    if sla.num_classes != base.num_classes:
+        raise ValueError("threshold vector length does not match C")
+    counts = base.ref_config.counts.copy()
+    floor = capacity_floor(base)
+    limits = sla.max_response
+    total_d = base.total_demands()
+    # Candidates must stay strictly above the capacity floor after removal.
+    candidates = [k for k in range(counts.shape[0]) if counts[k] - 1 > floor[k]]
+    iters = 0
+    while candidates:
+        iters += 1
+        if iters > iteration_cap:
+            raise IterationCap("release exceeded %d iterations" % iteration_cap)
+        rt = predict_response(base, Configuration(counts))
+        d = int(np.argmin((limits - rt.per_class) / limits))
+        best_j = -1
+        best_r = np.inf
+        for j in candidates:
+            trial = counts.copy()
+            trial[j] -= 1
+            r_d = _class_response_terms(total_d[d], floor, trial).sum()
+            if r_d < best_r:
+                best_r = r_d
+                best_j = j
+        trial = counts.copy()
+        trial[best_j] -= 1
+        rt_trial = predict_response(base, Configuration(trial))
+        if np.any(rt_trial.per_class > limits):
+            # Increments are additive, so this station can never be shrunk.
+            candidates.remove(best_j)
+        else:
+            counts = trial
+            if not counts[best_j] - 1 > floor[best_j]:
+                candidates.remove(best_j)
+    return Configuration(counts), iters
+
+
+def duplicated_baseline(rng, ulps=0):
+    """Random baseline whose last stations copy earlier columns, exactly
+    (ulps=0: marginals tie bit for bit) or scaled by up to `ulps` units in
+    the last place (marginals differ by rounding noise only)."""
+    base = random_baseline(rng, max_stations=6)
+    K = base.num_stations
+    src = rng.integers(0, K, size=rng.integers(1, K + 1))
+    cols = np.concatenate([np.arange(K), src])
+    demands = base.demands_ref.demands[:, cols]
+    demands[:, K:] *= 1.0 + rng.integers(-ulps, ulps + 1, size=src.size) * np.finfo(float).eps
+    return make_snapshot(base.ref_config.counts[cols], base.rates.rates, demands)
+
+
+def assert_same_decisions(base, sla, extra=0):
+    """acquire, then release at the acquired configuration plus `extra`
+    instances per station, match the reference in counts and iterations."""
+    got, got_iters = acquire(base, sla)
+    want, want_iters = reference_acquire(base, sla)
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got_iters == want_iters
+    rebased = rescale_snapshot(base, want.counts + extra)
+    got, got_iters = release(rebased, sla)
+    want, want_iters = reference_release(rebased, sla)
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got_iters == want_iters
 
 
 def brute_force_optimum(base, sla, cap_total):
@@ -176,6 +292,43 @@ class TestPlanStep:
             assert best is not None
             assert out.new_config.total <= 1.3 * best.sum() + 1e-9
             checked += 1
+
+
+class TestEquivalence:
+    """Decisions equal the reference planner's, iteration counts included."""
+
+    @staticmethod
+    def check(make_base, seed, draws):
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            base = make_base(rng)
+            sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
+            assert_same_decisions(base, sla)
+            # Release again from above the acquired point, so long runs of
+            # removals and rejections both occur.
+            assert_same_decisions(base, sla, rng.integers(0, 5, size=base.num_stations))
+
+    def test_random_baselines(self):
+        self.check(random_baseline, 59, 320)
+
+    def test_duplicated_station_columns(self):
+        self.check(duplicated_baseline, 67, 150)
+
+    def test_near_duplicated_station_columns(self):
+        self.check(lambda rng: duplicated_baseline(rng, ulps=3), 71, 150)
+
+    def test_release_demo_tie_break(self, demo):
+        # From (3, 2, 3) the first removal takes station 1.  At (3, 1, 3)
+        # stations 0 and 2 then cost class 0 exactly the same; station 0,
+        # the lower index, must win.  The threshold 4.5 then blocks station
+        # 2, so the tie's winner shows in the result.
+        rebased = rescale_snapshot(demo, [3, 2, 3])
+        total_d, floor = rebased.total_demands(), capacity_floor(rebased)
+        assert (_class_response_terms(total_d[0], floor, np.array([2, 1, 3])).sum()
+                == _class_response_terms(total_d[0], floor, np.array([3, 1, 2])).sum())
+        cfg, iters = release(rebased, SlaThresholds([4.5, 5.0]))
+        np.testing.assert_array_equal(cfg.counts, [2, 1, 3])
+        assert iters == 3
 
 
 class TestAcceptanceFixtureOptimality:
