@@ -21,6 +21,7 @@ from .errors import ConfigError, InfeasibleConfiguration, QnasError, Unattainabl
 from .model import Configuration, DemandMatrix, make_snapshot, predict_response, rescale_snapshot
 from .planner import SlaThresholds
 from .simkit import ScenarioSpec, des_validate, run_scenario, subseed
+from .simkit.des import DISCIPLINES, PS
 from .telemetry import NoiseSpec
 from .workload import WorkloadLaw
 
@@ -266,14 +267,19 @@ _VALIDATE_KEYS = {"rates", "demands", "ref_config", "targets", "disciplines",
 def cmd_validate(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, _VALIDATE_KEYS, "validate config")
-    rates = np.asarray(_require(cfg, "rates", list), dtype=float)
-    demands = np.asarray(_require(cfg, "demands", list), dtype=float)
-    ref = np.asarray(_defaulted(cfg, "ref_config", [1] * demands.shape[1]), dtype=int)
-    targets = [np.asarray(t, dtype=int) for t in _require(cfg, "targets", list)]
+    try:
+        rates = np.asarray(_require(cfg, "rates", list), dtype=float)
+        demands = np.asarray(_require(cfg, "demands", list), dtype=float)
+        ref = np.asarray(_defaulted(cfg, "ref_config", [1] * demands.shape[1]), dtype=int)
+        targets = [np.asarray(t, dtype=int) for t in _require(cfg, "targets", list)]
+        run_length = float(_defaulted(cfg, "run_length", 1e4))
+        warmup_fraction = float(cfg.get("warmup_fraction", 0.2))
+        batches = int(cfg.get("batches", 10))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError("malformed value: %s" % exc) from exc
     disciplines = _defaulted(cfg, "disciplines", ["ps"])
-    run_length = float(_defaulted(cfg, "run_length", 1e4))
-    warmup_fraction = float(cfg.get("warmup_fraction", 0.2))
-    batches = int(cfg.get("batches", 10))
+    if not isinstance(disciplines, list) or not all(isinstance(d, str) for d in disciplines):
+        raise ConfigError("disciplines must be a list of names")
     seed = args.seed if args.seed is not None else int(_defaulted(cfg, "master_seed", 0))
     out_dir = _out_dir(args, cfg)
 
@@ -295,6 +301,8 @@ def cmd_validate(args):
             except InfeasibleConfiguration as exc:
                 log.error("target %s: %s", target.tolist(), exc)
                 return EXIT_CONFIG
+            except ValueError as exc:  # DES settings out of range
+                raise ConfigError(str(exc)) from exc
             snap = rescale_snapshot(base, target)
             rt = predict_response(snap, Configuration(target))
             for c in range(base.num_classes):
@@ -306,7 +314,7 @@ def cmd_validate(args):
                     analytic = rt.per_class_station[c, k] * target[k]
                     simulated = result.residence[c, k]
                     rel = abs(simulated - analytic) / analytic
-                    if disc in ("ps", "processor-sharing") and rel > 0.05:
+                    if DISCIPLINES[disc] == PS and rel > 0.05:
                         ps_failures += 1
                     rows.append([disc, "-".join(map(str, target.tolist())),
                                  k + 1, c + 1, float(analytic), float(simulated),

@@ -8,18 +8,27 @@ per-station demand of the class, so each instance sees the thinned arrival
 stream lambda_c / N_k and the per-instance utilization of the analytic
 model is reproduced.
 
+Every class visits its stations in index order, so the network is
+feed-forward: the arrivals at station k are the departures of the stations
+before it.  The simulation therefore runs station by station, and each
+instance is a single-server queue over its own sorted arrivals: FCFS by
+Lindley's recursion, processor sharing by an exact egalitarian loop in
+virtual time.
+
 Point estimates and 95% confidence half-widths come from batch means over
 the post-warmup portion of a single long run.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from ..model import BaselineSnapshot, Configuration, predict_response
-from .des_kernel import FCFS, PS, des_loop
+from ..model import Configuration, predict_response
 
+PS = "ps"
+FCFS = "fcfs"
 DISCIPLINES = {"ps": PS, "processor-sharing": PS, "fcfs": FCFS}
 
 
@@ -37,6 +46,123 @@ class DesResult:
     completions: np.ndarray         # (C,) post-warmup completion counts
     run_length: float
     warmup: float
+
+
+def fcfs_departures(arrivals, services):
+    """Departure times of a FCFS single server from its sorted arrival
+    times and service times: Lindley's recursion
+    d_i = max(a_i, d_{i-1}) + s_i, vectorised."""
+    done = np.cumsum(services)
+    return done + np.maximum.accumulate(arrivals - done + services)
+
+
+def ps_departures(arrivals, services):
+    """Departure times of an egalitarian processor-sharing single server
+    from its sorted arrival times and service times (contiguous float64
+    arrays).
+
+    With n jobs present each is served at rate 1/n, so virtual time V runs
+    at dV/dt = 1/n and a job arriving at virtual time V leaves when V
+    reaches V + s.  A heap of those finish tags gives the next departure in
+    O(log n) per event.
+    """
+    dep = np.empty(arrivals.size)
+    out = memoryview(dep)  # item access without a list of float objects
+    heap = []
+    t = v = 0.0
+    for i, (a, s) in enumerate(zip(memoryview(arrivals), memoryview(services))):
+        while heap:
+            tag, j = heap[0]
+            finish = t + (tag - v) * len(heap)
+            if finish > a:
+                break
+            heapq.heappop(heap)
+            out[j] = t = finish
+            v = tag
+        if heap:
+            v += (a - t) / len(heap)
+        t = a
+        heapq.heappush(heap, (v + s, i))
+    while heap:
+        tag, j = heap[0]
+        t += (tag - v) * len(heap)
+        heapq.heappop(heap)
+        out[j] = t
+        v = tag
+    return dep
+
+
+def busy_time(fcfs_dep, services, warmup, run_length):
+    """Time inside [warmup, run_length] during which a single server with
+    these FCFS departures and service times is busy.  The busy periods are
+    the same under every work-conserving discipline, processor sharing
+    included."""
+    return float((np.clip(fcfs_dep, warmup, run_length)
+                  - np.clip(fcfs_dep - services, warmup, run_length)).sum())
+
+
+def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed):
+    """Simulate the feed-forward network over [0, run_length].
+
+    rates         : (C,) Poisson arrival rate per class
+    service_means : (C, K) mean exponential service requirement per visit;
+                    class c visits the stations with a positive entry
+    counts        : (K,) instances per station
+    discipline    : PS or FCFS
+    seed          : any non-negative integer, for np.random.default_rng
+
+    Returns
+      completions : per class, (response, time) of every job that leaves the
+                    network by run_length
+      visits      : visits[c][k] is (residence, departure time) of every
+                    visit of class c to station k that ends by run_length,
+                    None where class c skips station k
+      busy        : (I,) busy time of each instance inside [warmup, run_length]
+      visits_ci   : (C, I) arrivals of class c at instance i inside
+                    [warmup, run_length]
+    A job still in the network at run_length leaves no completion record.
+    Every record array is sized by the jobs it holds, so none is capped.
+    """
+    rng = np.random.default_rng(seed)
+    C, K = service_means.shape
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    busy = np.zeros(offsets[-1])
+    visits_ci = np.zeros((C, offsets[-1]), dtype=np.int64)
+    visits = [[None] * K for _ in range(C)]
+    # start[c]: external arrival time of each class-c job still in the
+    # network; at[c]: the time it reaches its next station, or leaves.
+    start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
+             for lam in rates]
+    at = list(start)
+    for k in range(K):
+        users = np.flatnonzero(service_means[:, k] > 0)
+        if users.size == 0:
+            continue
+        a = np.concatenate([at[c] for c in users])
+        s = np.concatenate([rng.exponential(service_means[c, k], at[c].size) for c in users])
+        inst = rng.integers(counts[k], size=a.size)
+        order = np.lexsort((a, inst))
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inst, minlength=counts[k]))))
+        dep = np.empty_like(a)
+        for i in range(counts[k]):
+            idx = order[bounds[i]:bounds[i + 1]]
+            a_i, s_i = a[idx], s[idx]
+            fcfs = fcfs_departures(a_i, s_i)
+            busy[offsets[k] + i] = busy_time(fcfs, s_i, warmup, run_length)
+            dep[idx] = fcfs if discipline == FCFS else ps_departures(a_i, s_i)
+        lo = 0
+        for c in users:
+            hi = lo + at[c].size
+            a_c, d_c, inst_c = a[lo:hi], dep[lo:hi], inst[lo:hi]
+            visits_ci[c, offsets[k]:offsets[k + 1]] = np.bincount(
+                inst_c[a_c >= warmup], minlength=counts[k])
+            done = d_c <= run_length
+            visits[c][k] = ((d_c - a_c)[done], d_c[done])
+            start[c] = start[c][done]
+            at[c] = d_c[done]
+            lo = hi
+    completions = [(at[c] - start[c], at[c]) for c in range(C)]
+    return completions, visits, busy, visits_ci
 
 
 def _batch_stats(values, times, t0, t1, batches):
@@ -63,14 +189,14 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     analytic predictions.
 
     `seed` may be any non-negative integer, such as the 63-bit values of
-    `subseed`.  It is reduced once, here, to the kernel's 32-bit seed by
-    xor-folding its high bits into its low bits; the reduction is the
-    identity below 2**32, and larger seeds keep their high bits' influence.
-    A negative seed raises ValueError.
+    `subseed`; it seeds np.random.default_rng as given.  A negative seed
+    raises ValueError.
     """
     config = config if isinstance(config, Configuration) else Configuration(config)
     if discipline not in DISCIPLINES:
         raise ValueError("unknown discipline %r" % (discipline,))
+    if not run_length > 0:
+        raise ValueError("run length must be positive")
     if not 0 <= warmup_fraction < 1:
         raise ValueError("warmup fraction must lie in [0, 1)")
     if batches < 2:
@@ -80,81 +206,38 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
     predict_response(base, config)  # raises InfeasibleConfiguration at or below the floor
     total_d = base.total_demands()
-
-    rates = base.rates.rates
     C, K = total_d.shape
     counts = config.counts
-    inst_offset = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    n_inst = int(counts.sum())
-
-    # Visit order: stations in index order, skipping zero-demand entries.
-    first_st = np.full(C, -1, dtype=np.int64)
-    next_st = np.full((C, K), -1, dtype=np.int64)
-    for c in range(C):
-        stations = np.flatnonzero(total_d[c] > 0)
-        if stations.size:
-            first_st[c] = stations[0]
-            for a, b in zip(stations[:-1], stations[1:]):
-                next_st[c, a] = b
-
-    visits_per_class = (total_d > 0).sum(axis=1)
-    exp_comp = float(rates.sum() * run_length)
-    exp_vis = float((rates * visits_per_class).sum() * run_length)
-    comp_cap = int(1.5 * exp_comp) + 1024
-    visit_cap = int(1.5 * exp_vis) + 1024
-
     warmup = warmup_fraction * run_length
-    (n_comp, comp_class, comp_resp, comp_time,
-     n_vis, vis_class, vis_station, vis_inst, vis_res, vis_time,
-     busy, visits_ci, n_dropped) = des_loop(
-        rates.astype(np.float64), total_d.astype(np.float64),
-        counts.astype(np.int64), inst_offset, first_st, next_st,
-        DISCIPLINES[discipline], float(run_length), float(warmup),
-        (seed ^ (seed >> 32)) & 0xFFFFFFFF, comp_cap, visit_cap,
-    )
-    if n_dropped:
-        raise RuntimeError("active-job capacity exceeded (%d arrivals dropped); "
-                           "the configuration is too close to saturation" % n_dropped)
-    lost = (max(n_comp - comp_class.shape[0], 0), max(n_vis - vis_class.shape[0], 0))
-    if any(lost):
-        raise RuntimeError("record buffers exceeded (%d completion and %d visit "
-                           "records dropped)" % lost)
-
-    comp_class = comp_class[:n_comp]
-    comp_resp = comp_resp[:n_comp]
-    comp_time = comp_time[:n_comp]
-    vis_class = vis_class[:n_vis]
-    vis_station = vis_station[:n_vis]
-    vis_res = vis_res[:n_vis]
-    vis_time = vis_time[:n_vis]
-
-    window = run_length - warmup
-    keep_c = comp_time >= warmup
-    keep_v = vis_time >= warmup
+    completions_rec, visits, busy, visits_ci = des_loop(
+        base.rates.rates.astype(np.float64), total_d.astype(np.float64),
+        counts.astype(np.int64), DISCIPLINES[discipline], float(run_length),
+        float(warmup), seed)
 
     response = np.full(C, np.nan)
     response_hw = np.full(C, np.nan)
     completions = np.zeros(C, dtype=np.int64)
-    for c in range(C):
-        sel = keep_c & (comp_class == c)
-        completions[c] = int(sel.sum())
+    for c, (resp, time) in enumerate(completions_rec):
+        keep = time >= warmup
+        completions[c] = int(keep.sum())
         response[c], response_hw[c] = _batch_stats(
-            comp_resp[sel], comp_time[sel], warmup, run_length, batches)
+            resp[keep], time[keep], warmup, run_length, batches)
 
     residence = np.full((C, K), np.nan)
     residence_hw = np.full((C, K), np.nan)
     for c in range(C):
         for k in range(K):
-            if total_d[c, k] <= 0:
+            if visits[c][k] is None:
                 continue
-            sel = keep_v & (vis_class == c) & (vis_station == k)
+            res, time = visits[c][k]
+            keep = time >= warmup
             residence[c, k], residence_hw[c, k] = _batch_stats(
-                vis_res[sel], vis_time[sel], warmup, run_length, batches)
+                res[keep], time[keep], warmup, run_length, batches)
 
+    window = run_length - warmup
     util_inst = busy / window
-    utilization = np.array([
-        util_inst[inst_offset[k]:inst_offset[k] + counts[k]].mean() for k in range(K)
-    ])
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    utilization = np.array([util_inst[offsets[k]:offsets[k + 1]].mean() for k in range(K)])
     visit_rates = visits_ci / window
 
     return DesResult(response, response_hw, residence, residence_hw,

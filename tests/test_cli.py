@@ -127,9 +127,23 @@ class TestValidate:
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [
+        {"disciplines": ["lifo"]}, {"batches": 1}, {"warmup_fraction": 1.5},
+        {"run_length": 0}, {"batches": "ten"}, {"disciplines": [["ps"]]},
+        {"rates": ["fast", 1.0]}, {"targets": [["two", 1, 2]]},
+        {"demands": [[0.5, 0.3], [0.5]]}])
+    def test_malformed_config(self, tmp_path, override):
+        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg.update({"run_length": 100}, **override)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "validation.csv").exists()
+
     def test_mm1_closed_form(self, tmp_path):
         cfg = {"rates": [0.5], "demands": [[1.0]], "ref_config": [1],
-               "targets": [[1]], "disciplines": ["ps"], "run_length": 40000,
+               "targets": [[1]], "disciplines": ["ps"], "run_length": 160000,
                "master_seed": 2}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
