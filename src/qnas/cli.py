@@ -89,23 +89,38 @@ _SLA_KEYS = {"multiplier", "max_response"}
 _NOISE_KEYS = {"mode", "relative_sd", "seed"}
 
 
+def _vector(cfg, key, C, default=None):
+    """A per-class vector from the config, required when no default."""
+    value = _require(cfg, key) if default is None else _defaulted(cfg, key, [default] * C)
+    v = np.asarray(value, dtype=float)
+    if v.shape != (C,):
+        raise ConfigError("%s must list %d values" % (key, C))
+    return v
+
+
 def _parse_workload(cfg, C, horizon):
     _check_keys(cfg, _WORKLOAD_KEYS, "workload")
     explicit = {"base_rates", "amplitudes", "periods", "phases"} & set(cfg)
     if explicit:
-        base = np.asarray(_require(cfg, "base_rates"), dtype=float)
-        if base.shape != (C,):
-            raise ConfigError("base_rates must list %d values" % C)
-        amp = np.asarray(_defaulted(cfg, "amplitudes", [0.0] * C), dtype=float)
-        periods = np.asarray(_defaulted(cfg, "periods", [float(horizon)] * C), dtype=float)
-        phases = np.asarray(_defaulted(cfg, "phases", [0.0] * C), dtype=float)
-        return WorkloadLaw(base, amp, periods, phases,
+        return WorkloadLaw(_vector(cfg, "base_rates", C),
+                           _vector(cfg, "amplitudes", C, 0.0),
+                           _vector(cfg, "periods", C, float(horizon)),
+                           _vector(cfg, "phases", C, 0.0),
                            float(cfg.get("perturbation_sd", 0.0)),
                            float(cfg.get("perturbation_persistence", 0.0)))
     return None  # harness builds the default law from scalar knobs
 
 
 def _parse_scenario(cfg):
+    """Build a ScenarioSpec; any out-of-range or malformed value is a
+    ConfigError, raised before the scenario runs."""
+    try:
+        return ScenarioSpec(**_scenario_kwargs(cfg))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _scenario_kwargs(cfg):
     _check_keys(cfg, _SCENARIO_KEYS, "config")
     C = int(_require(cfg, "C", int))
     K = int(_require(cfg, "K", int))
@@ -134,7 +149,7 @@ def _parse_scenario(cfg):
     sla_cfg = cfg.get("sla", {})
     _check_keys(sla_cfg, _SLA_KEYS, "sla")
     if "max_response" in sla_cfg:
-        kwargs["sla"] = SlaThresholds(np.asarray(sla_cfg["max_response"], dtype=float))
+        kwargs["sla"] = SlaThresholds(_vector(sla_cfg, "max_response", C))
     else:
         kwargs["sla_multiplier"] = float(_defaulted(sla_cfg, "multiplier", 2.0))
     noise_cfg = cfg.get("noise", {})
@@ -149,10 +164,7 @@ def _parse_scenario(cfg):
         if init.shape != (K,):
             raise ConfigError("initial_config must list %d counts" % K)
         kwargs["initial_config"] = Configuration(init)
-    try:
-        return ScenarioSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return kwargs
 
 
 def _load_config(path):
@@ -233,10 +245,13 @@ _SWEEP_KEYS = (_SCENARIO_KEYS - {"C", "K"}) | {"C_values", "K_values", "seeds"}
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, _SWEEP_KEYS, "sweep config")
-    c_values = [int(v) for v in _require(cfg, "C_values", list)]
-    k_values = [int(v) for v in _require(cfg, "K_values", list)]
-    base_seed = args.seed if args.seed is not None else int(_defaulted(cfg, "master_seed", 0))
-    seeds = [int(v) for v in cfg.get("seeds", [base_seed])]
+    try:
+        c_values = [int(v) for v in _require(cfg, "C_values", list)]
+        k_values = [int(v) for v in _require(cfg, "K_values", list)]
+        base_seed = args.seed if args.seed is not None else int(_defaulted(cfg, "master_seed", 0))
+        seeds = [int(v) for v in cfg.get("seeds", [base_seed])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("malformed value: %s" % exc) from exc
     out_dir = _out_dir(args, cfg)
     rows = []
     warnings = 0

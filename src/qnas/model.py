@@ -269,9 +269,13 @@ def asymptotic_floor(base):
     return base.total_demands().sum(axis=1)
 
 
+def counts_above(floor):
+    """Smallest integer counts strictly above a capacity floor, at least one
+    instance everywhere."""
+    return np.maximum(1, np.floor(floor).astype(np.int64) + 1)
+
+
 def min_feasible_config(base):
     """Smallest integer configuration strictly above the capacity floor
     (at least one instance everywhere)."""
-    floor = capacity_floor(base)
-    counts = np.maximum(1, np.floor(floor).astype(np.int64) + 1)
-    return Configuration(counts)
+    return Configuration(counts_above(capacity_floor(base)))

@@ -22,6 +22,14 @@ from .model import (
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
+# Relative margin for rejecting a removal from the term tables alone.  The
+# table response of removing one instance at station j, per_class - T[:, j]
+# + T_fewer[:, j], and the float trial per_cs @ counts sum the same
+# non-negative terms, so they differ by a few K*eps times the response.  A
+# table response above limits * (1 + MARGIN) means the trial would reject
+# too, for any K below about 10**6.
+MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class SlaThresholds:
@@ -53,8 +61,9 @@ class PlanOutcome:
 
 
 def _terms(total_d, counts, floor):
-    """Response terms D_ck*M_k*N_k / (N_k - floor_k), zero where unused."""
-    return np.where(total_d > 0.0, total_d * counts / (counts - floor), 0.0)
+    """Response terms D_ck*M_k*N_k / (N_k - floor_k); zero where a class
+    skips the station.  Callers keep N_k > floor_k on every station."""
+    return total_d * counts / (counts - floor)
 
 
 def check_attainable(base, sla):
@@ -82,17 +91,22 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     total_d = base.total_demands()
     limits = sla.max_response
     rt = predict_response(base, Configuration(counts))
-    # Residence table of predict_response, kept current one column per move.
+    # Residence table of predict_response and the gain table of one more
+    # instance, both kept current one column per move.
     per_cs, per_class = rt.per_class_station.copy(), rt.per_class
+    more = _terms(total_d, counts + 1, floor)
+    gain = _terms(total_d, counts, floor) - more
     iters = 0
-    while np.any(per_class > limits):
+    while (per_class > limits).any():
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
-        b = int(np.argmax((per_class - limits) / limits))
-        gain = _terms(total_d[b], counts, floor) - _terms(total_d[b], counts + 1, floor)
-        j = int(np.argmax(gain))
+        b = int(((per_class - limits) / limits).argmax())
+        j = int(gain[b].argmax())
         counts[j] += 1
+        nxt = _terms(total_d[:, j], counts[j] + 1, floor[j])
+        gain[:, j] = more[:, j] - nxt
+        more[:, j] = nxt
         per_cs[:, j] = total_d[:, j] / (counts[j] - floor[j])
         per_class = per_cs @ counts
     return Configuration(counts), iters
@@ -123,36 +137,60 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     fewer = np.full_like(terms, np.inf)
     fewer[:, candidates] = _terms(total_d[:, candidates], counts[candidates] - 1,
                                   floor[candidates])
+    scale = 8 * counts.size * np.finfo(np.float64).eps
+    reject_above = limits * (1.0 + MARGIN)
+    moved = True
     while candidates.any():
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("release exceeded %d iterations" % iteration_cap)
-        d = int(np.argmin((limits - per_class) / limits))
-        cost = fewer[d] - terms[d]
-        j = int(np.argmin(cost))
+        if moved:
+            # Class d, its marginals and its response sum change only when a
+            # removal is accepted; a rejection just drops one marginal.
+            d = int(((limits - per_class) / limits).argmin())
+            cost = fewer[d] - terms[d]
+            total = terms[d].sum()
+            moved = False
+        j = int(cost.argmin())
         # Marginals within rounding of the minimum are re-ranked on class d's
         # exact response sums; argmin keeps the first minimum in index order.
-        tol = 8 * cost.size * np.finfo(np.float64).eps * (terms[d].sum() + abs(cost[j]))
-        near = np.flatnonzero(cost <= cost[j] + tol)
-        if near.size > 1:
+        close = cost <= cost[j] + scale * (total + abs(cost[j]))
+        if np.count_nonzero(close) > 1:
+            near = np.flatnonzero(close)
             rows = np.repeat(terms[d:d + 1], near.size, axis=0)
             rows[np.arange(near.size), near] = fewer[d, near]
             j = int(near[np.argmin(rows.sum(axis=1))])
-        n = counts[j] - 1
-        per_cs[:, j] = total_d[:, j] / (n - floor[j])
-        counts[j] = n
-        trial = per_cs @ counts
-        if np.any(trial > limits):
-            # Increments are additive, so this station can never be shrunk.
-            counts[j], per_cs[:, j] = n + 1, total_d[:, j] / (n + 1 - floor[j])
+        grown = per_class - terms[:, j] + fewer[:, j]
+        if (grown > reject_above).any():
+            # The trial would reject j, so skip it.  Until a removal is
+            # accepted, per_class stays as it is, so once every candidate
+            # left is doomed each is rejected in turn, one iteration each.
+            # (fewer is +inf off the candidates, which count as doomed.)
+            grown = per_class[:, np.newaxis] - terms + fewer
+            if (grown > reject_above[:, np.newaxis]).any(axis=0).all():
+                iters += np.count_nonzero(candidates) - 1
+                if iters > iteration_cap:
+                    raise IterationCap("release exceeded %d iterations" % iteration_cap)
+                break
         else:
-            per_class = trial
-            terms[:, j] = fewer[:, j]
-            if n - 1 > floor[j]:
-                fewer[:, j] = _terms(total_d[:, j], n - 1, floor[j])
-                continue
+            n = counts[j] - 1
+            per_cs[:, j] = total_d[:, j] / (n - floor[j])
+            counts[j] = n
+            trial = per_cs @ counts
+            if (trial > limits).any():
+                counts[j], per_cs[:, j] = n + 1, total_d[:, j] / (n + 1 - floor[j])
+            else:
+                per_class = trial
+                terms[:, j] = fewer[:, j]
+                moved = True
+                if n - 1 > floor[j]:
+                    fewer[:, j] = _terms(total_d[:, j], n - 1, floor[j])
+                    continue
+        # Rejected or at its floor.  Increments are additive, so a rejected
+        # station can never be shrunk later either.
         candidates[j] = False
         fewer[:, j] = np.inf
+        cost[j] = np.inf
     return Configuration(counts), iters
 
 

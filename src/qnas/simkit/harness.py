@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import UnattainableSla
-from ..model import Configuration, DemandMatrix
+from ..model import Configuration, DemandMatrix, counts_above
 from ..planner import SlaThresholds, plan_step
 from ..telemetry import NO_NOISE, NoiseSpec, ObservationWindow, measure_rates, observe
 from ..workload import (
@@ -45,10 +45,18 @@ class ScenarioSpec:
     perturbation_persistence: float = 0.8
 
     def __post_init__(self):
+        if self.num_classes < 1 or self.num_stations < 1:
+            raise ValueError("C and K must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.window <= 0:
             raise ValueError("window must be > 0")
+        # Out-of-range knobs fail here, not once the run has started.
+        if self.sla is None and not self.sla_multiplier > 1:
+            raise ValueError("sla_multiplier must be > 1")
+        if self.workload is None:
+            default_law(self.num_classes, self.horizon, 0, self.base_rate, self.amplitude,
+                        self.perturbation_sd, self.perturbation_persistence)
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,8 @@ def _observation_config(rates, demands_unit, current):
     util = rates @ (demands_unit / current.counts[np.newaxis, :])
     if np.all(util < 1.0):
         return current
-    floor_unit = rates @ demands_unit  # capacity floor at unit reference
-    return Configuration(np.maximum(1, np.floor(floor_unit).astype(np.int64) + 1))
+    # rates @ demands_unit is the capacity floor at the unit reference.
+    return Configuration(counts_above(rates @ demands_unit))
 
 
 def run_scenario(spec):

@@ -11,6 +11,24 @@ DEMO_CONFIG = os.path.join(REPO, "configs", "demo.json")
 VALIDATE_CONFIG = os.path.join(REPO, "configs", "validate_demo.json")
 
 
+# Out-of-range or misshapen values for a C=3 scenario; each must be a
+# config error before the scenario runs.
+BAD_SCENARIO_VALUES = {
+    "amplitude-out-of-range": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [1.5, 0, 0]}},
+    "negative-base-rate": {"workload": {"base_rate": -1}},
+    "short-amplitudes": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1, 0.1]}},
+    "one-amplitude": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1]}},
+    "short-max-response": {"sla": {"max_response": [5.0, 5.0]}},
+    "bogus-noise-mode": {"noise": {"mode": "bogus"}},
+    "multiplier-below-one": {"sla": {"multiplier": 0.5}},
+    "no-stations": {"K": 0},
+}
+
+
+def bad_scenario(name):
+    return {"C": 3, "K": 4, "horizon": 3, **BAD_SCENARIO_VALUES[name]}
+
+
 def read_csv(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -56,6 +74,15 @@ class TestRun:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_UNATTAINABLE
 
+    @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_VALUES))
+    def test_out_of_range_values(self, tmp_path, name):
+        cfg = bad_scenario(name)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_idempotent_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -95,6 +122,28 @@ class TestSweep:
         assert rc == EXIT_OK
         header, rows = read_csv(tmp_path / "sweep.csv")
         assert "ERROR" in rows[0]
+
+    @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_VALUES))
+    def test_out_of_range_cell(self, tmp_path, name):
+        cfg = bad_scenario(name)
+        C, K = cfg.pop("C"), cfg.pop("K")
+        cfg.update(C_values=[C], K_values=[K], seeds=[0])
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert rows == [["0", str(C), str(K)] + ["ERROR"] * 9]
+
+    @pytest.mark.parametrize("override", [
+        {"C_values": ["x"]}, {"K_values": [None]}, {"seeds": ["x"]}, {"master_seed": "x"}])
+    def test_malformed_grid(self, tmp_path, override):
+        cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_small_grid_rows(self, tmp_path):
         cfg = {"C_values": [2, 3], "K_values": [3], "seeds": [1, 2], "horizon": 5,

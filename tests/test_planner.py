@@ -317,6 +317,55 @@ class TestEquivalence:
     def test_near_duplicated_station_columns(self):
         self.check(lambda rng: duplicated_baseline(rng, ulps=3), 71, 150)
 
+    @staticmethod
+    def check_caps(plan, reference, base, sla):
+        """Below the reference's iteration count both raise IterationCap; at
+        the count both return the same configuration."""
+        want, want_iters = reference(base, sla)
+        for cap in range(want_iters):
+            with pytest.raises(IterationCap):
+                plan(base, sla, cap)
+            with pytest.raises(IterationCap):
+                reference(base, sla, cap)
+        got, got_iters = plan(base, sla, want_iters)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got_iters == want_iters
+
+    @pytest.mark.parametrize("make_base", [random_baseline, duplicated_baseline])
+    def test_iteration_caps(self, make_base):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            base = make_base(rng)
+            sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
+            self.check_caps(acquire, reference_acquire, base, sla)
+            # From above the acquired point, so most runs end in a bulk rejection.
+            start = acquire(base, sla)[0].counts + rng.integers(0, 5, size=base.num_stations)
+            self.check_caps(release, reference_release, rescale_snapshot(base, start), sla)
+
+    def test_thresholds_on_boundary(self):
+        # Thresholds equal to the response after one removal, or one ulp
+        # below it: the tables cannot tell these apart from a feasible
+        # removal, so release must decide them by the exact trial.
+        rng = np.random.default_rng(79)
+        for _ in range(60):
+            base = random_baseline(rng)
+            counts = min_feasible_config(base).counts + rng.integers(0, 4, size=base.num_stations)
+            rebased = rescale_snapshot(base, counts)
+            floor = capacity_floor(rebased)
+            for j in np.flatnonzero(counts - 1 > floor):
+                fewer = counts.copy()
+                fewer[j] -= 1
+                at = predict_response(rebased, fewer).per_class
+                below = np.where(rebased.total_demands()[:, j] > 0, np.nextafter(at, 0), at)
+                for limits in (at, below):
+                    if np.any(limits <= asymptotic_floor(rebased)):
+                        continue
+                    sla = SlaThresholds(limits)
+                    got, got_iters = release(rebased, sla)
+                    want, want_iters = reference_release(rebased, sla)
+                    np.testing.assert_array_equal(got.counts, want.counts)
+                    assert got_iters == want_iters
+
     def test_release_demo_tie_break(self, demo):
         # From (3, 2, 3) the first removal takes station 1.  At (3, 1, 3)
         # stations 0 and 2 then cost class 0 exactly the same; station 0,
