@@ -154,9 +154,13 @@ def _scenario_kwargs(cfg):
         kwargs["sla_multiplier"] = float(_defaulted(sla_cfg, "multiplier", 2.0))
     noise_cfg = cfg.get("noise", {})
     _check_keys(noise_cfg, _NOISE_KEYS, "noise")
+    relative_sd = float(noise_cfg.get("relative_sd", 0.0))
+    if relative_sd > 0 and "mode" not in noise_cfg:
+        raise ConfigError('noise: relative_sd > 0 needs "mode": "sampled" '
+                          '(or "mode": "none" to switch noise off)')
     kwargs["noise"] = NoiseSpec(
         mode=noise_cfg.get("mode", "none"),
-        relative_sd=float(noise_cfg.get("relative_sd", 0.0)),
+        relative_sd=relative_sd,
         seed=int(noise_cfg.get("seed", 0)),
     )
     if "initial_config" in cfg:
@@ -355,7 +359,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output directory (default $QNAS_OUT or .)")
-        p.add_argument("--quiet", action="store_true")
+        # SUPPRESS: unless given here, keep the value of the top-level flag.
+        p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
         p.set_defaults(func=fn)
     return parser
 

@@ -22,6 +22,26 @@ def _check_close(a, b, tol=TOL):
     return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
 
+def _finite_nonneg(a):
+    """Every entry finite and >= 0; NaN fails both bounds."""
+    return a.size == 0 or (np.minimum.reduce(a, axis=None) >= 0
+                           and np.maximum.reduce(a, axis=None) < np.inf)
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen model type built from arrays that are
+    already valid and read-only; skips __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Integer vector of instance counts per station, every entry >= 1."""
@@ -32,10 +52,9 @@ class Configuration:
         counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D vector")
-        if np.any(counts < 1):
+        if np.count_nonzero(counts < 1):
             raise ValueError("instance counts must all be >= 1")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _frozen(counts))
 
     @property
     def num_stations(self):
@@ -56,10 +75,9 @@ class ArrivalRates:
         rates = np.array(self.rates, dtype=np.float64)
         if rates.ndim != 1:
             raise ValueError("rates must be a 1-D vector")
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        if not _finite_nonneg(rates):
             raise ValueError("rates must be finite and >= 0")
-        rates.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", _frozen(rates))
 
     @property
     def num_classes(self):
@@ -79,10 +97,9 @@ class DemandMatrix:
         demands = np.array(self.demands, dtype=np.float64)
         if demands.ndim != 2:
             raise ValueError("demands must be a C x K matrix")
-        if not np.all(np.isfinite(demands)) or np.any(demands < 0):
+        if not _finite_nonneg(demands):
             raise ValueError("demands must be finite and >= 0")
-        demands.setflags(write=False)
-        object.__setattr__(self, "demands", demands)
+        object.__setattr__(self, "demands", _frozen(demands))
 
     @property
     def num_classes(self):
@@ -104,10 +121,9 @@ class UtilizationVector:
         u = np.array(self.utilizations, dtype=np.float64)
         if u.ndim != 1:
             raise ValueError("utilizations must be a 1-D vector")
-        if not np.all(np.isfinite(u)) or np.any(u < 0):
+        if not _finite_nonneg(u):
             raise ValueError("utilizations must be finite and >= 0")
-        u.setflags(write=False)
-        object.__setattr__(self, "utilizations", u)
+        object.__setattr__(self, "utilizations", _frozen(u))
 
 
 @dataclass(frozen=True)
@@ -137,12 +153,7 @@ class BaselineSnapshot:
     utilizations_ref: UtilizationVector
 
     def __post_init__(self):
-        C = self.rates.num_classes
-        K = self.ref_config.num_stations
-        if self.demands_ref.demands.shape != (C, K):
-            raise ValueError("demand matrix shape does not match (C, K)")
-        if self.utilizations_ref.utilizations.shape != (K,):
-            raise ValueError("utilization vector length does not match K")
+        _check_shapes(self.ref_config, self.rates, self.demands_ref, self.utilizations_ref)
         expected = utilization(self.rates, self.demands_ref).utilizations
         if not _check_close(self.utilizations_ref.utilizations, expected):
             raise ValueError("utilizations inconsistent with rates and demands")
@@ -157,16 +168,29 @@ class BaselineSnapshot:
 
     def total_demands(self):
         """Per-station total demand M_k * D_ck, invariant under rescaling."""
-        return self.demands_ref.demands * self.ref_config.counts[np.newaxis, :]
+        return _frozen(self.demands_ref.demands * self.ref_config.counts)
+
+
+def _check_shapes(config, rates, demands, utils):
+    C, K = rates.num_classes, config.num_stations
+    if demands.demands.shape != (C, K):
+        raise ValueError("demand matrix shape does not match (C, K)")
+    if utils.utilizations.shape != (K,):
+        raise ValueError("utilization vector length does not match K")
 
 
 def make_snapshot(ref_config, rates, demands_ref):
     """Build a consistent BaselineSnapshot, deriving utilizations from the
-    utilization law."""
+    utilization law.  Inputs that are not model types yet are validated
+    here; the derived utilizations obey the law by construction, so only
+    their finiteness is checked."""
     config = ref_config if isinstance(ref_config, Configuration) else Configuration(ref_config)
     rates = rates if isinstance(rates, ArrivalRates) else ArrivalRates(rates)
     demands = demands_ref if isinstance(demands_ref, DemandMatrix) else DemandMatrix(demands_ref)
-    return BaselineSnapshot(config, rates, demands, utilization(rates, demands))
+    utils = utilization(rates, demands)
+    _check_shapes(config, rates, demands, utils)
+    return _trusted(BaselineSnapshot, ref_config=config, rates=rates, demands_ref=demands,
+                    utilizations_ref=utils)
 
 
 def utilization(rates, demands):
@@ -225,9 +249,14 @@ def rescale_snapshot(base, target):
     if target.num_stations != base.num_stations:
         raise ValueError("target configuration length does not match K")
     ratio = base.ref_config.counts / target.counts
-    demands = DemandMatrix(base.demands_ref.demands * ratio[np.newaxis, :])
-    utils = UtilizationVector(base.utilizations_ref.utilizations * ratio)
-    return BaselineSnapshot(target, base.rates, demands, utils)
+    demands = base.demands_ref.demands * ratio
+    utils = base.utilizations_ref.utilizations * ratio
+    # Scaling keeps the utilization law; only overflow can break the snapshot.
+    if not (_finite_nonneg(demands) and _finite_nonneg(utils)):
+        raise ValueError("rescaled demands and utilizations must be finite")
+    return _trusted(BaselineSnapshot, ref_config=target, rates=base.rates,
+                    demands_ref=_trusted(DemandMatrix, demands=_frozen(demands)),
+                    utilizations_ref=_trusted(UtilizationVector, utilizations=_frozen(utils)))
 
 
 def capacity_floor(base):
@@ -236,7 +265,21 @@ def capacity_floor(base):
     Invariant under re-referencing; a configuration is evaluable only
     strictly above this floor on every loaded station.
     """
-    return base.ref_config.counts * base.utilizations_ref.utilizations
+    return _frozen(base.ref_config.counts * base.utilizations_ref.utilizations)
+
+
+def residence_table(total_d, floor, counts):
+    """C x K residence at one instance, D_ck*M_k / (N_k - floor_k), from a
+    snapshot's total demands and capacity floor; zero wherever a class
+    skips the station.  Raises InfeasibleConfiguration if a used station
+    sits at or below its floor."""
+    used = total_d.sum(axis=0) > 0.0
+    bad = used & (counts <= floor)
+    if np.count_nonzero(bad):
+        raise InfeasibleConfiguration(np.flatnonzero(bad).tolist())
+    per_cs = np.zeros_like(total_d)
+    np.divide(total_d, counts - floor, out=per_cs, where=used)
+    return per_cs
 
 
 def predict_response(base, target):
@@ -250,18 +293,8 @@ def predict_response(base, target):
     target = target if isinstance(target, Configuration) else Configuration(target)
     if target.num_stations != base.num_stations:
         raise ValueError("target configuration length does not match K")
-    floor = capacity_floor(base)
-    total_d = base.total_demands()  # (C, K), invariant
-    used = total_d.sum(axis=0) > 0.0
-    bad = used & (target.counts <= floor)
-    if np.any(bad):
-        raise InfeasibleConfiguration(np.flatnonzero(bad).tolist())
-    # Residence at one instance; zero wherever the class skips the station.
-    denom = target.counts - floor
-    per_cs = np.zeros_like(total_d)
-    np.divide(total_d, denom[np.newaxis, :], out=per_cs, where=used[np.newaxis, :])
-    per_class = per_cs @ target.counts
-    return ResponseTimes(per_class, per_cs)
+    per_cs = residence_table(base.total_demands(), capacity_floor(base), target.counts)
+    return ResponseTimes(per_cs @ target.counts, per_cs)
 
 
 def asymptotic_floor(base):

@@ -13,18 +13,20 @@ from .errors import IterationCap, UnattainableSla
 from .model import (
     Configuration,
     ResponseTimes,
-    asymptotic_floor,
+    _frozen,
+    _trusted,
     capacity_floor,
-    min_feasible_config,
+    counts_above,
     predict_response,
     rescale_snapshot,
+    residence_table,
 )
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
-# Relative margin for rejecting a removal from the term tables alone.  The
-# table response of removing one instance at station j, per_class - T[:, j]
-# + T_fewer[:, j], and the float trial per_cs @ counts sum the same
+# Relative margin for calling a removal doomed from the term tables alone.
+# The table response of removing one instance at station j, per_class -
+# T[:, j] + T_fewer[:, j], and the float trial per_cs @ counts sum the same
 # non-negative terms, so they differ by a few K*eps times the response.  A
 # table response above limits * (1 + MARGIN) means the trial would reject
 # too, for any K below about 10**6.
@@ -60,19 +62,40 @@ class PlanOutcome:
     feasible: bool
 
 
-def _terms(total_d, counts, floor):
-    """Response terms D_ck*M_k*N_k / (N_k - floor_k); zero where a class
-    skips the station.  Callers keep N_k > floor_k on every station."""
-    return total_d * counts / (counts - floor)
+def _terms(td, counts, floor):
+    """Station-major response terms D_ck*M_k*N_k / (N_k - floor_k), one row
+    per station; zero where a class skips the station.  Callers keep
+    N_k > floor_k on every station."""
+    counts = counts[:, np.newaxis]
+    return td * counts / (counts - floor[:, np.newaxis])
 
 
 def check_attainable(base, sla):
     """Thresholds must sit strictly above the asymptotic response floor."""
-    floor_c = asymptotic_floor(base)
-    bad = sla.max_response <= floor_c + 1e-9
-    if np.any(bad):
+    _check_attainable(base.total_demands(), sla)
+
+
+def _check_attainable(total_d, sla):
+    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
+    if np.count_nonzero(bad):
         raise UnattainableSla(np.flatnonzero(bad).tolist())
 
+
+def _tables(base, sla):
+    """Total demands, capacity floor and thresholds of one greedy call."""
+    if sla.num_classes != base.num_classes:
+        raise ValueError("threshold vector length does not match C")
+    return base.total_demands(), capacity_floor(base), sla.max_response
+
+
+# Both greedy loops keep their tables station-major (row k: station k), so
+# a move rewrites one contiguous row; a class is a strided column.  Counts
+# are Python ints for the scalar arithmetic and a float64 vector for the
+# response per_cs.dot(counts): the same BLAS mat-vec as per_cs @ counts,
+# without the integer cast or the matmul dispatch.  A class violates iff its
+# relative excess (R - limit) / limit is > 0, so the argmax of that one
+# vector (argmin of the slack) both answers "any violation?" and picks the
+# class.
 
 def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     """Grow the configuration until every class meets its threshold.
@@ -83,33 +106,37 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     station that most reduces the most-violating class's response time.
     Returns (configuration, greedy iteration count).
     """
-    if sla.num_classes != base.num_classes:
-        raise ValueError("threshold vector length does not match C")
-    check_attainable(base, sla)
-    counts = np.maximum(base.ref_config.counts, min_feasible_config(base).counts)
-    floor = capacity_floor(base)
-    total_d = base.total_demands()
-    limits = sla.max_response
-    rt = predict_response(base, Configuration(counts))
-    # Residence table of predict_response and the gain table of one more
-    # instance, both kept current one column per move.
-    per_cs, per_class = rt.per_class_station.copy(), rt.per_class
-    more = _terms(total_d, counts + 1, floor)
-    gain = _terms(total_d, counts, floor) - more
+    total_d, floor, limits = _tables(base, sla)
+    _check_attainable(total_d, sla)
+    counts = np.maximum(base.ref_config.counts, counts_above(floor))
+    per_cs = residence_table(total_d, floor, counts)
+    fcounts = counts.astype(np.float64)
+    per_class = per_cs.dot(fcounts)
+    # Terms at one more instance, and the gain of that instance.
+    td = total_d.T.copy()
+    more = _terms(td, fcounts + 1, floor)
+    gain = _terms(td, fcounts, floor) - more
+    cnt, fl = counts.tolist(), floor.tolist()
     iters = 0
-    while (per_class > limits).any():
+    while True:
+        excess = per_class - limits
+        excess /= limits
+        b = int(excess.argmax())
+        if not excess[b] > 0:
+            break
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
-        b = int(((per_class - limits) / limits).argmax())
-        j = int(gain[b].argmax())
-        counts[j] += 1
-        nxt = _terms(total_d[:, j], counts[j] + 1, floor[j])
-        gain[:, j] = more[:, j] - nxt
-        more[:, j] = nxt
-        per_cs[:, j] = total_d[:, j] / (counts[j] - floor[j])
-        per_class = per_cs @ counts
-    return Configuration(counts), iters
+        j = int(gain[:, b].argmax())
+        n = cnt[j] = cnt[j] + 1
+        fcounts[j] = n
+        nxt = td[j] * (n + 1)
+        nxt /= n + 1 - fl[j]
+        np.subtract(more[j], nxt, out=gain[j])
+        more[j] = nxt
+        np.divide(td[j], n - fl[j], out=per_cs[:, j])
+        per_class = per_cs.dot(fcounts)
+    return _configuration(cnt), iters
 
 
 def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
@@ -118,80 +145,94 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     already meets the thresholds.  Returns (configuration, iteration count);
     the result is Pareto-optimal: no single instance can be removed without
     breaking capacity or a threshold.
+
+    Each iteration tries the cheapest removal for the least-slack class by
+    the exact trial.  Only after a rejection are the tables consulted: once
+    every candidate left is doomed, the rest are rejected in one step.
     """
-    if sla.num_classes != base.num_classes:
-        raise ValueError("threshold vector length does not match C")
-    counts = base.ref_config.counts.copy()
-    floor = capacity_floor(base)
-    limits = sla.max_response
-    total_d = base.total_demands()
+    total_d, floor, limits = _tables(base, sla)
+    counts = base.ref_config.counts
     # Candidates must stay strictly above the capacity floor after removal.
     candidates = counts - 1 > floor
-    iters = 0
-    if not candidates.any():
-        return Configuration(counts), iters
-    rt = predict_response(base, Configuration(counts))
-    per_cs, per_class = rt.per_class_station.copy(), rt.per_class
+    left = int(np.count_nonzero(candidates))
+    if not left:
+        return base.ref_config, 0
+    per_cs = residence_table(total_d, floor, counts)
+    fcounts = counts.astype(np.float64)
+    per_class = per_cs.dot(fcounts)
+    d = int(((limits - per_class) / limits).argmin())
     # Terms at the current counts and at one fewer instance (+inf: no candidate).
-    terms = _terms(total_d, counts, floor)
+    td = total_d.T.copy()
+    terms = _terms(td, fcounts, floor)
     fewer = np.full_like(terms, np.inf)
-    fewer[:, candidates] = _terms(total_d[:, candidates], counts[candidates] - 1,
-                                  floor[candidates])
-    scale = 8 * counts.size * np.finfo(np.float64).eps
+    fewer[candidates] = _terms(td[candidates], fcounts[candidates] - 1, floor[candidates])
+    cnt, fl = counts.tolist(), floor.tolist()
+    scale = 8 * len(cnt) * np.finfo(np.float64).eps
     reject_above = limits * (1.0 + MARGIN)
     moved = True
-    while candidates.any():
+    iters = 0
+    while left:
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("release exceeded %d iterations" % iteration_cap)
         if moved:
             # Class d, its marginals and its response sum change only when a
             # removal is accepted; a rejection just drops one marginal.
-            d = int(((limits - per_class) / limits).argmin())
-            cost = fewer[d] - terms[d]
-            total = terms[d].sum()
+            cost = fewer[:, d] - terms[:, d]
+            total = float(np.add.reduce(terms[:, d]))
             moved = False
         j = int(cost.argmin())
+        cj = float(cost[j])
         # Marginals within rounding of the minimum are re-ranked on class d's
         # exact response sums; argmin keeps the first minimum in index order.
-        close = cost <= cost[j] + scale * (total + abs(cost[j]))
+        close = cost <= cj + scale * (total + abs(cj))
         if np.count_nonzero(close) > 1:
             near = np.flatnonzero(close)
-            rows = np.repeat(terms[d:d + 1], near.size, axis=0)
-            rows[np.arange(near.size), near] = fewer[d, near]
+            rows = np.repeat(terms[np.newaxis, :, d], near.size, axis=0)
+            rows[np.arange(near.size), near] = fewer[near, d]
             j = int(near[np.argmin(rows.sum(axis=1))])
-        grown = per_class - terms[:, j] + fewer[:, j]
-        if (grown > reject_above).any():
-            # The trial would reject j, so skip it.  Until a removal is
-            # accepted, per_class stays as it is, so once every candidate
-            # left is doomed each is rejected in turn, one iteration each.
-            # (fewer is +inf off the candidates, which count as doomed.)
-            grown = per_class[:, np.newaxis] - terms + fewer
-            if (grown > reject_above[:, np.newaxis]).any(axis=0).all():
-                iters += np.count_nonzero(candidates) - 1
+        # The exact trial: remove one instance at j and recompute every class.
+        n, f = cnt[j] - 1, fl[j]
+        col = per_cs[:, j]
+        np.divide(td[j], n - f, out=col)
+        fcounts[j] = n
+        trial = per_cs.dot(fcounts)
+        slack = limits - trial
+        slack /= limits
+        m = int(slack.argmin())
+        if slack[m] >= 0:
+            per_class, cnt[j], d, moved = trial, n, m, True
+            terms[j] = fewer[j]
+            if n - 1 > f:
+                row = fewer[j]
+                np.multiply(td[j], n - 1, out=row)
+                row /= n - 1 - f
+                continue
+        else:
+            fcounts[j] = n + 1
+            np.divide(td[j], n + 1 - f, out=col)
+        # Rejected or at its floor.  Increments are additive, so a rejected
+        # station can never be shrunk later either.
+        left -= 1
+        fewer[j] = np.inf
+        cost[j] = np.inf
+        if not moved and left:
+            # After a rejection per_class stays as it is until a removal is
+            # accepted, so once every candidate left is doomed, each is
+            # rejected in turn, one iteration each.  (fewer is +inf off the
+            # candidates, which count as doomed.)
+            grown = per_class - terms + fewer
+            if np.count_nonzero((grown > reject_above).any(axis=1)) == len(cnt):
+                iters += left
                 if iters > iteration_cap:
                     raise IterationCap("release exceeded %d iterations" % iteration_cap)
                 break
-        else:
-            n = counts[j] - 1
-            per_cs[:, j] = total_d[:, j] / (n - floor[j])
-            counts[j] = n
-            trial = per_cs @ counts
-            if (trial > limits).any():
-                counts[j], per_cs[:, j] = n + 1, total_d[:, j] / (n + 1 - floor[j])
-            else:
-                per_class = trial
-                terms[:, j] = fewer[:, j]
-                moved = True
-                if n - 1 > floor[j]:
-                    fewer[:, j] = _terms(total_d[:, j], n - 1, floor[j])
-                    continue
-        # Rejected or at its floor.  Increments are additive, so a rejected
-        # station can never be shrunk later either.
-        candidates[j] = False
-        fewer[:, j] = np.inf
-        cost[j] = np.inf
-    return Configuration(counts), iters
+    return _configuration(cnt), iters
+
+
+def _configuration(counts):
+    """A Configuration from counts the greedy loops keep >= 1."""
+    return _trusted(Configuration, counts=_frozen(np.array(counts, dtype=np.int64)))
 
 
 def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
@@ -201,5 +242,5 @@ def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     rebased = rescale_snapshot(base, acquired)
     released, rel_iters = release(rebased, sla, iteration_cap)
     rt = predict_response(rebased, released)
-    feasible = bool(np.all(rt.per_class <= sla.max_response))
+    feasible = np.count_nonzero(rt.per_class <= sla.max_response) == sla.num_classes
     return PlanOutcome(released, acq_iters, rel_iters, rt, feasible)

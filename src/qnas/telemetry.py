@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverloadedStation
-from .model import ArrivalRates, BaselineSnapshot, Configuration, DemandMatrix, make_snapshot
+from .model import ArrivalRates, Configuration, DemandMatrix, make_snapshot
 
 UTIL_CLAMP = 1.0 - 1e-6
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +96,31 @@ class TestRun:
         monkeypatch.setenv("QNAS_OUT", str(tmp_path))
         rc = main(["run", "--config", DEMO_CONFIG, "--quiet"])
         assert rc == EXIT_OK
+        assert (tmp_path / "summary.csv").exists()
+
+
+    def test_noise_without_mode(self, tmp_path, caplog):
+        # A relative_sd with no mode would run noise-free; it must say so.
+        cfg = json.load(open(DEMO_CONFIG))
+        cfg["noise"] = {"relative_sd": 0.05, "seed": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert '"mode": "sampled"' in caplog.text
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_quiet_prints_nothing(self, tmp_path, where):
+        # In a fresh interpreter, so logging is configured as on the command line.
+        args = ["run", "--config", DEMO_CONFIG, "--out", str(tmp_path)]
+        args = ["--quiet"] + args if where == "before" else args + ["--quiet"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(REPO, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-m", "qnas.cli"] + args, env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == EXIT_OK
+        assert (proc.stdout, proc.stderr) == ("", "")
         assert (tmp_path / "summary.csv").exists()
 
 

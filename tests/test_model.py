@@ -263,3 +263,61 @@ class TestSnapshotConsistency:
     def test_configuration_validation(self):
         with pytest.raises(ValueError):
             Configuration([1, 0, 2])
+
+
+class TestBoundary:
+    """Bad input raises at the public entry points; what a snapshot keeps or
+    returns cannot be written through."""
+
+    @pytest.mark.parametrize("ref, rates, demands", [
+        ([1, 0, 1], DEMO_RATES, DEMO_DEMANDS),                      # count 0
+        ([1, 1, 1], [-2.0, 1.0], DEMO_DEMANDS),                     # negative rate
+        ([1, 1, 1], [np.nan, 1.0], DEMO_DEMANDS),                   # NaN rate
+        ([1, 1, 1], DEMO_RATES, [[0.5, np.inf, 0.5], [0.5, 0.0, 0.5]]),  # inf demand
+        ([1, 1], DEMO_RATES, DEMO_DEMANDS),                         # K mismatch
+        ([1, 1, 1], [2.0], DEMO_DEMANDS),                           # C mismatch
+        ([1], [1e200], [[1e200]]),                                  # utilization overflows
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_make_snapshot_rejects(self, ref, rates, demands):
+        with pytest.raises(ValueError):
+            make_snapshot(ref, rates, demands)
+
+    def test_constructors_reject(self):
+        for bad in ([-1.0], [np.nan], [np.inf]):
+            with pytest.raises(ValueError):
+                ArrivalRates(bad)
+        with pytest.raises(ValueError):
+            DemandMatrix([[np.inf]])
+        with pytest.raises(ValueError):
+            DemandMatrix([0.5, 0.5])
+
+    @pytest.mark.parametrize("target", [[2, 0, 2], [2, 1]])
+    def test_bad_targets(self, demo, target):
+        with pytest.raises(ValueError):
+            predict_response(demo, target)
+        with pytest.raises(ValueError):
+            rescale_snapshot(demo, target)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rescale_overflow(self):
+        # Scaling by M/N = 2**62 overflows the demands, or only the
+        # utilizations when the rates are large.
+        for rate, demand in ((1.0, 1e300), (1e11, 1e289)):
+            base = make_snapshot([2**62], [rate], [[demand]])
+            with pytest.raises(ValueError):
+                rescale_snapshot(base, [1])
+
+    def test_arrays_read_only(self, demo):
+        from qnas.planner import SlaThresholds, acquire, release
+        from qnas.telemetry import observe
+        sla = SlaThresholds([6.0, 5.0])
+        for base in (demo, rescale_snapshot(demo, [3, 2, 3]),
+                     observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2])):
+            arrays = [base.ref_config.counts, base.rates.rates, base.demands_ref.demands,
+                      base.utilizations_ref.utilizations, base.total_demands(),
+                      capacity_floor(base), acquire(base, sla)[0].counts,
+                      release(rescale_snapshot(base, [3, 2, 3]), sla)[0].counts]
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 7
