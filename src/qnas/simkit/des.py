@@ -12,8 +12,8 @@ Every class visits its stations in index order, so the network is
 feed-forward: the arrivals at station k are the departures of the stations
 before it.  The simulation therefore runs station by station, and each
 instance is a single-server queue over its own sorted arrivals: FCFS by
-Lindley's recursion, processor sharing by an exact egalitarian loop in
-virtual time.
+Lindley's recursion, processor sharing exactly in virtual time, each busy
+period on its own.
 
 Point estimates and 95% confidence half-widths come from batch means over
 the post-warmup portion of a single long run.
@@ -56,16 +56,66 @@ def fcfs_departures(arrivals, services):
     return done + np.maximum.accumulate(arrivals - done + services)
 
 
-def ps_departures(arrivals, services):
-    """Departure times of an egalitarian processor-sharing single server
-    from its sorted arrival times and service times (contiguous float64
-    arrays).
+# The HEAP_TAIL largest busy periods of a ps_departures call run through the
+# heap loop, so the long tail costs no numpy step per event; the others
+# advance in lockstep, CHUNK lanes at a time, in tag tables that start
+# TAG_WIDTH slots wide per lane and double when a lane fills its row.
+HEAP_TAIL = 32
+CHUNK = 2048
+TAG_WIDTH = 8
+
+
+def busy_period_starts(arrivals, fcfs_dep):
+    """Mask of the jobs that find a single server empty, from its sorted
+    arrival times and FCFS departures: the first job, and every job that
+    arrives at or after the departure of the job before it."""
+    fresh = np.empty(arrivals.size, dtype=bool)
+    fresh[:1] = True
+    np.greater_equal(arrivals[1:], fcfs_dep[:-1], out=fresh[1:])
+    return fresh
+
+
+def ps_departures(arrivals, services, fresh=None):
+    """Departure times of egalitarian processor-sharing single servers from
+    arrival times and service times (contiguous float64 arrays).
+
+    Without `fresh` the input is one server's sorted stream.  Otherwise it
+    may be several servers' sorted streams one after another, and `fresh`
+    marks the first job of each busy period (busy_period_starts on each
+    stream).
 
     With n jobs present each is served at rate 1/n, so virtual time V runs
     at dV/dt = 1/n and a job arriving at virtual time V leaves when V
-    reaches V + s.  A heap of those finish tags gives the next departure in
-    O(log n) per event.
+    reaches V + s.  Busy periods are the same under every work-conserving
+    discipline, and each starts from an empty server, so each is simulated
+    on its own with V restarting at 0: a lone job leaves at a + s, the
+    largest few busy periods run through a heap of finish tags, and the
+    rest advance together as the lanes of _ps_lanes.
     """
+    size = arrivals.size
+    if fresh is None:
+        fresh = busy_period_starts(arrivals, fcfs_departures(arrivals, services))
+    elif size and not fresh[0]:
+        raise ValueError("the first job must start a busy period")
+    dep = np.empty(size + 1)  # dep[size] takes the writes of empty lane slots
+    starts = np.flatnonzero(fresh)
+    lengths = np.diff(starts, append=size)
+    alone = starts[lengths == 1]
+    dep[alone] = arrivals[alone] + services[alone]
+    shared = np.flatnonzero(lengths > 1)
+    shared = shared[np.argsort(-lengths[shared], kind="stable")]
+    starts, lengths = starts[shared], lengths[shared]
+    heap = slice(HEAP_TAIL)
+    for lo, hi in zip(starts[heap].tolist(), (starts[heap] + lengths[heap]).tolist()):
+        dep[lo:hi] = _ps_heap(arrivals[lo:hi], services[lo:hi])
+    for lo in range(HEAP_TAIL, starts.size, CHUNK):
+        _ps_lanes(arrivals, services, starts[lo:lo + CHUNK], lengths[lo:lo + CHUNK], dep)
+    return dep[:size]
+
+
+def _ps_heap(arrivals, services):
+    """Processor-sharing departures of one sorted stream, O(log n) per event
+    from a heap of finish tags."""
     dep = np.empty(arrivals.size)
     out = memoryview(dep)  # item access without a list of float objects
     heap = []
@@ -90,6 +140,105 @@ def ps_departures(arrivals, services):
         out[j] = t
         v = tag
     return dep
+
+
+def _ps_lanes(arrivals, services, starts, lengths, dep):
+    """Write into dep the processor-sharing departures of the busy periods
+    arrivals[b:b + m] for b, m in zip(starts, lengths), lengths descending
+    and at least 2.  dep has one spare entry at its end.
+
+    Each busy period is a lane, and each numpy step advances every active
+    lane by one event: its next arrival, or else the departure of its
+    smallest finish tag if that comes first or at the same time.  A lane
+    of m jobs takes its first arrival before the loop and its other 2m - 1
+    events in 2m - 1 steps, so the active lanes are always a prefix.  Row
+    l of the flat tables `tags` and `jobs` holds lane l's finish tags and
+    job indices in any of its columns; a free column holds tag inf and the
+    spare index.
+
+    The arithmetic is the heap loop's, event by event.  Where an FCFS
+    busy-period end and this one disagree by an ulp, a lane can empty
+    before its last arrival: its next event is then that arrival, and
+    `share` keeps the empty lane from dividing by zero.
+    """
+    lanes = starts.size
+    spare = dep.size - 1
+    # Each lane's arrivals with an inf after them, so a lane past its last
+    # arrival always takes a departure.
+    first = np.cumsum(lengths + 1) - (lengths + 1)
+    offset = starts - first  # job index = local index + offset
+    local = np.arange(first[-1] + lengths[-1] + 1)
+    nxt = arrivals.take(local + np.repeat(offset, lengths + 1), mode="clip")
+    nxt[first + lengths] = np.inf
+    pos = first + 1  # local index of each lane's next arrival
+    t = arrivals[starts]
+    v = np.zeros(lanes)
+    n = np.ones(lanes)  # jobs present
+    width = TAG_WIDTH
+    tags = np.full(lanes * width, np.inf)
+    tags[::width] = services[starts]
+    jobs = np.full(lanes * width, spare)
+    jobs[::width] = starts
+    ends = 2 * lengths - 1  # lane l is active while step < ends[l]
+    active = lanes
+    step = check = 0
+    with np.errstate(invalid="raise", divide="raise"):
+        while active:
+            if step == check:
+                # A lane gains at most one job a step: look again before
+                # any lane can fill its row.
+                most = int(n[:active].max())
+                if most == width:
+                    tags = _widen(tags, active, width, np.inf)
+                    jobs = _widen(jobs, active, width, spare)
+                    width *= 2
+                check = step + width - most
+            stop = min(int(ends[active - 1]), check)
+            table = tags[:active * width].reshape(active, width)
+            row = np.arange(0, active * width, width)
+            tv, vv, nv, pv, ov = t[:active], v[:active], n[:active], pos[:active], offset[:active]
+            for _ in range(step, stop):
+                low = table.argmin(axis=1)
+                low += row
+                free = table.argmax(axis=1)  # the first inf
+                free += row
+                tag = tags.take(low)
+                share = np.maximum(nv, 1.0)
+                finish = tag - vv
+                finish *= share
+                finish += tv
+                arrival = nxt.take(pv)
+                leave = finish <= arrival
+                # A lane that takes an arrival writes a provisional time for
+                # its smallest tag; that job's own departure overwrites it.
+                dep[jobs.take(low)] = finish
+                gap = arrival - tv
+                gap /= share
+                vv += gap
+                np.putmask(vv, leave, tag)
+                np.minimum(finish, arrival, out=tv)
+                job = pv + ov
+                tag = services.take(job, mode="clip")
+                tag += vv
+                np.putmask(tag, leave, np.inf)
+                np.putmask(job, leave, spare)
+                np.putmask(free, leave, low)  # a leaving lane frees low
+                tags[free] = tag
+                jobs[free] = job
+                enter = ~leave
+                nv += enter
+                nv -= leave
+                pv += enter
+            step = stop
+            active = int(np.count_nonzero(ends[:active] > step))
+
+
+def _widen(table, rows, width, fill):
+    """The first `rows` rows of a flat table `width` columns wide, in rows
+    twice as wide with `fill` in the new columns."""
+    wide = np.full((rows, 2 * width), fill, dtype=table.dtype)
+    wide[:, :width] = table[:rows * width].reshape(rows, width)
+    return wide.reshape(-1)
 
 
 def busy_time(fcfs_dep, services, warmup, run_length):
@@ -143,23 +292,39 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed)
         inst = rng.integers(counts[k], size=a.size)
         order = np.lexsort((a, inst))
         bounds = np.concatenate(([0], np.cumsum(np.bincount(inst, minlength=counts[k]))))
-        dep = np.empty_like(a)
-        for i in range(counts[k]):
-            idx = order[bounds[i]:bounds[i + 1]]
-            a_i, s_i = a[idx], s[idx]
-            fcfs = fcfs_departures(a_i, s_i)
-            busy[offsets[k] + i] = busy_time(fcfs, s_i, warmup, run_length)
-            dep[idx] = fcfs if discipline == FCFS else ps_departures(a_i, s_i)
         lo = 0
         for c in users:
             hi = lo + at[c].size
-            a_c, d_c, inst_c = a[lo:hi], dep[lo:hi], inst[lo:hi]
             visits_ci[c, offsets[k]:offsets[k + 1]] = np.bincount(
-                inst_c[a_c >= warmup], minlength=counts[k])
+                inst[lo:hi][at[c] >= warmup], minlength=counts[k])
+            lo = hi
+        del inst
+        # Instance-major: each instance's arrivals in time order, in turn.
+        a = a[order]
+        s = s[order]
+        fresh = np.empty(a.size, dtype=bool) if discipline == PS else None
+        for i in range(counts[k]):
+            lo, hi = bounds[i], bounds[i + 1]
+            fcfs = fcfs_departures(a[lo:hi], s[lo:hi])
+            busy[offsets[k] + i] = busy_time(fcfs, s[lo:hi], warmup, run_length)
+            if discipline == FCFS:
+                s[lo:hi] = fcfs  # over the service times, now spent
+            else:
+                fresh[lo:hi] = busy_period_starts(a[lo:hi], fcfs)
+        # The departures, back in class order, take the place of the sorted
+        # arrivals.
+        dep = a
+        dep[order] = s if discipline == FCFS else ps_departures(a, s, fresh)
+        del a, s, fresh
+        lo = 0
+        for c in users:
+            hi = lo + at[c].size
+            d_c = dep[lo:hi]
             done = d_c <= run_length
-            visits[c][k] = ((d_c - a_c)[done], d_c[done])
+            left = d_c[done]
+            visits[c][k] = (left - at[c][done], left)
             start[c] = start[c][done]
-            at[c] = d_c[done]
+            at[c] = left
             lo = hi
     completions = [(at[c] - start[c], at[c]) for c in range(C)]
     return completions, visits, busy, visits_ci

@@ -1,3 +1,7 @@
+import heapq
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,46 @@ from qnas.model import make_snapshot, predict_response, rescale_snapshot
 from qnas.simkit import des, des_validate, subseed
 
 from conftest import DEMO_DEMANDS, DEMO_RATES
+
+
+# -- Reference oracle: the single-server heap loop, kept verbatim. ----------
+# ps_departures splits its input into busy periods and advances most of them
+# in lockstep; it must agree with this loop to rounding.
+
+def reference_ps_departures(arrivals, services):
+    """Departure times of an egalitarian processor-sharing single server
+    from its sorted arrival times and service times (contiguous float64
+    arrays).
+
+    With n jobs present each is served at rate 1/n, so virtual time V runs
+    at dV/dt = 1/n and a job arriving at virtual time V leaves when V
+    reaches V + s.  A heap of those finish tags gives the next departure in
+    O(log n) per event.
+    """
+    dep = np.empty(arrivals.size)
+    out = memoryview(dep)  # item access without a list of float objects
+    heap = []
+    t = v = 0.0
+    for i, (a, s) in enumerate(zip(memoryview(arrivals), memoryview(services))):
+        while heap:
+            tag, j = heap[0]
+            finish = t + (tag - v) * len(heap)
+            if finish > a:
+                break
+            heapq.heappop(heap)
+            out[j] = t = finish
+            v = tag
+        if heap:
+            v += (a - t) / len(heap)
+        t = a
+        heapq.heappush(heap, (v + s, i))
+    while heap:
+        tag, j = heap[0]
+        t += (tag - v) * len(heap)
+        heapq.heappop(heap)
+        out[j] = t
+        v = tag
+    return dep
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +249,118 @@ class TestKernel:
                 assert np.all(completions[c][0] >= 0)
                 queued += in_network
         assert queued > 0
+
+
+def _stream(rng, rho, size):
+    """Poisson arrivals at rate rho with unit-mean exponential services."""
+    arrivals = np.cumsum(rng.exponential(1.0 / rho, size))
+    return arrivals, rng.exponential(1.0, size)
+
+
+def _shared_periods(arrivals, services):
+    """Number of busy periods of more than one job."""
+    fresh = des.busy_period_starts(arrivals, des.fcfs_departures(arrivals, services))
+    return int(np.count_nonzero(np.diff(np.flatnonzero(fresh), append=arrivals.size) > 1))
+
+
+def _assert_matches_reference(arrivals, services):
+    dep = des.ps_departures(arrivals, services)
+    assert dep.shape == arrivals.shape and np.all(np.isfinite(dep))
+    np.testing.assert_allclose(dep, reference_ps_departures(arrivals, services), rtol=1e-9)
+
+
+class TestPsKernel:
+    """The busy-period kernel against the heap loop it replaced."""
+
+    @pytest.mark.parametrize("rho", [0.2, 0.6, 0.8, 0.95])
+    def test_random_streams(self, rho):
+        rng = np.random.default_rng(int(rho * 100))
+        _assert_matches_reference(*_stream(rng, rho, 20000))
+
+    def test_equal_arrival_times(self):
+        # Groups of simultaneous arrivals, some wider than a table row.
+        rng = np.random.default_rng(11)
+        groups = rng.integers(1, 3 * des.TAG_WIDTH, size=des.HEAP_TAIL + 40)
+        arrivals = np.repeat(np.arange(groups.size) * 1e3, groups)
+        services = rng.exponential(1.0, arrivals.size)
+        _assert_matches_reference(arrivals, services)
+
+    def test_large_wide_periods(self):
+        # More busy periods than the heap takes, each of more jobs than
+        # HEAP_TAIL and, with services much longer than the arrival window,
+        # more than twice TAG_WIDTH jobs at once: the lanes' tables widen.
+        rng = np.random.default_rng(12)
+        least = des.HEAP_TAIL + 2 * des.TAG_WIDTH + 1
+        parts = [b * 1e4 + np.sort(rng.uniform(0.0, 1.0, least + b))
+                 for b in range(des.HEAP_TAIL + 8)]
+        arrivals = np.concatenate(parts)
+        services = rng.uniform(5.0, 10.0, arrivals.size)
+        assert _shared_periods(arrivals, services) == len(parts)
+        _assert_matches_reference(arrivals, services)
+
+    def test_more_lanes_than_one_chunk(self):
+        rng = np.random.default_rng(13)
+        arrivals, services = _stream(rng, 0.5, 20000)
+        assert _shared_periods(arrivals, services) > des.HEAP_TAIL + des.CHUNK
+        _assert_matches_reference(arrivals, services)
+
+    def test_empty(self):
+        dep = des.ps_departures(np.empty(0), np.empty(0))
+        assert dep.shape == (0,)
+
+    def test_instances_with_fresh(self):
+        # Three servers' streams one after another, as des_loop passes them.
+        rng = np.random.default_rng(14)
+        streams = [_stream(rng, rho, 3000) for rho in (0.3, 0.7, 0.9)]
+        arrivals = np.concatenate([a for a, _ in streams])
+        services = np.concatenate([s for _, s in streams])
+        fresh = np.concatenate([des.busy_period_starts(a, des.fcfs_departures(a, s))
+                                for a, s in streams])
+        dep = des.ps_departures(arrivals, services, fresh)
+        assert np.all(np.isfinite(dep))
+        want = np.concatenate([reference_ps_departures(a, s) for a, s in streams])
+        np.testing.assert_allclose(dep, want, rtol=1e-9)
+        with pytest.raises(ValueError):
+            des.ps_departures(arrivals, services, ~fresh)
+
+    @pytest.mark.parametrize("toward", [-np.inf, None, np.inf])
+    def test_adversarial_boundaries(self, toward):
+        # A short burst of jobs is followed by an arrival exactly at the
+        # reference's last departure of it, or one ulp to either side, where
+        # FCFS's and PS's rounding can disagree on whether the server is
+        # empty.  Every third burst starts after a clear gap, so that no
+        # busy period holds more than three bursts, and HEAP_TAIL larger
+        # busy periods go first: the bursts run as lanes.
+        rng = np.random.default_rng(15)
+        a = (np.arange(des.HEAP_TAIL)[:, None] * 1e3
+             + np.sort(rng.uniform(0.0, 1.0, (des.HEAP_TAIL, 60)), axis=1)).ravel()
+        s = rng.uniform(2.0, 4.0, a.size)
+        last = des.HEAP_TAIL * 1e3
+        for i in range(300):
+            nxt = last + 10.0 if i % 3 == 0 else (
+                last if toward is None else np.nextafter(last, toward))
+            burst = nxt + np.concatenate(([0.0], np.sort(rng.uniform(0.0, 0.5, rng.integers(1, 5)))))
+            a = np.concatenate((a, burst))
+            s = np.concatenate((s, rng.exponential(0.4, burst.size)))
+            last = reference_ps_departures(a, s)[-burst.size:].max()
+        assert _shared_periods(a, s) > des.HEAP_TAIL + 50
+        _assert_matches_reference(a, s)
+
+
+class TestPinned:
+    def test_demo_matches_heap_kernel(self):
+        # Per-class completions and responses of the demo at [2, 1, 2] under
+        # PS, as computed with the single-server heap kernel.
+        pinned = {
+            0: ([95973, 48102], [5.003676364268602, 4.005133405139626]),
+            1: ([96093, 48303], [5.070021770380556, 4.082112565996562]),
+            2: ([95813, 47972], [4.951629010865084, 3.913607896717438]),
+            3: ([95398, 48255], [4.962221819797595, 3.9772000300813146]),
+        }
+        path = Path(__file__).resolve().parent.parent / "configs" / "validate_demo.json"
+        cfg = json.loads(path.read_text())
+        base = make_snapshot(cfg["ref_config"], cfg["rates"], cfg["demands"])
+        for seed, (completions, response) in pinned.items():
+            r = des_validate(base, [2, 1, 2], "ps", run_length=6e4, seed=seed)
+            np.testing.assert_array_equal(r.completions, completions)
+            np.testing.assert_allclose(r.response, response, rtol=1e-9)
