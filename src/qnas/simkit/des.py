@@ -56,10 +56,15 @@ def fcfs_departures(arrivals, services):
     return done + np.maximum.accumulate(arrivals - done + services)
 
 
-# The HEAP_TAIL largest busy periods of a ps_departures call run through the
-# heap loop, so the long tail costs no numpy step per event; the others
-# advance in lockstep, CHUNK lanes at a time, in tag tables that start
-# TAG_WIDTH slots wide per lane and double when a lane fills its row.
+# ps_departures advances busy periods in lockstep, CHUNK lanes at a time, in
+# tag tables that start TAG_WIDTH slots wide per lane and double when a lane
+# fills its row.  A chunk takes one numpy step per event of its largest busy
+# period, and a step costs as much as some 30 to 70 events of the heap loop
+# (17-25 us against 0.3-0.6 us on a 2-vCPU Xeon), so lockstep pays only
+# while many lanes are active.  The HEAP_TAIL largest busy periods therefore
+# run through the heap loop.  Without them a 200k-job stream at load 0.95
+# takes two to three times as long, and 32 came within ~15% of the fastest
+# tail tried (0 to 128) at loads 0.9 to 0.98.
 HEAP_TAIL = 32
 CHUNK = 2048
 TAG_WIDTH = 8
@@ -97,7 +102,7 @@ def ps_departures(arrivals, services, fresh=None):
         fresh = busy_period_starts(arrivals, fcfs_departures(arrivals, services))
     elif size and not fresh[0]:
         raise ValueError("the first job must start a busy period")
-    dep = np.empty(size + 1)  # dep[size] takes the writes of empty lane slots
+    dep = np.empty(size)
     starts = np.flatnonzero(fresh)
     lengths = np.diff(starts, append=size)
     alone = starts[lengths == 1]
@@ -110,7 +115,7 @@ def ps_departures(arrivals, services, fresh=None):
         dep[lo:hi] = _ps_heap(arrivals[lo:hi], services[lo:hi])
     for lo in range(HEAP_TAIL, starts.size, CHUNK):
         _ps_lanes(arrivals, services, starts[lo:lo + CHUNK], lengths[lo:lo + CHUNK], dep)
-    return dep[:size]
+    return dep
 
 
 def _ps_heap(arrivals, services):
@@ -145,7 +150,7 @@ def _ps_heap(arrivals, services):
 def _ps_lanes(arrivals, services, starts, lengths, dep):
     """Write into dep the processor-sharing departures of the busy periods
     arrivals[b:b + m] for b, m in zip(starts, lengths), lengths descending
-    and at least 2.  dep has one spare entry at its end.
+    and at least 2.
 
     Each busy period is a lane, and each numpy step advances every active
     lane by one event: its next arrival, or else the departure of its
@@ -153,16 +158,17 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
     of m jobs takes its first arrival before the loop and its other 2m - 1
     events in 2m - 1 steps, so the active lanes are always a prefix.  Row
     l of the flat tables `tags` and `jobs` holds lane l's finish tags and
-    job indices in any of its columns; a free column holds tag inf and the
-    spare index.
+    job indices in any of its columns; a free column holds tag inf.
 
     The arithmetic is the heap loop's, event by event.  Where an FCFS
     busy-period end and this one disagree by an ulp, a lane can empty
     before its last arrival: its next event is then that arrival, and
-    `share` keeps the empty lane from dividing by zero.
+    `share` keeps the empty lane from dividing by zero.  Its smallest tag
+    is then column 0, which an arrival fills whenever it is free, so it
+    holds the job index of that next arrival; that job's own departure
+    overwrites the provisional inf written for it.
     """
     lanes = starts.size
-    spare = dep.size - 1
     # Each lane's arrivals with an inf after them, so a lane past its last
     # arrival always takes a departure.
     first = np.cumsum(lengths + 1) - (lengths + 1)
@@ -177,7 +183,7 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
     width = TAG_WIDTH
     tags = np.full(lanes * width, np.inf)
     tags[::width] = services[starts]
-    jobs = np.full(lanes * width, spare)
+    jobs = np.zeros(lanes * width, dtype=np.int64)
     jobs[::width] = starts
     ends = 2 * lengths - 1  # lane l is active while step < ends[l]
     active = lanes
@@ -190,7 +196,7 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
                 most = int(n[:active].max())
                 if most == width:
                     tags = _widen(tags, active, width, np.inf)
-                    jobs = _widen(jobs, active, width, spare)
+                    jobs = _widen(jobs, active, width, 0)
                     width *= 2
                 check = step + width - most
             stop = min(int(ends[active - 1]), check)
@@ -221,7 +227,6 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
                 tag = services.take(job, mode="clip")
                 tag += vv
                 np.putmask(tag, leave, np.inf)
-                np.putmask(job, leave, spare)
                 np.putmask(free, leave, low)  # a leaving lane frees low
                 tags[free] = tag
                 jobs[free] = job
