@@ -18,13 +18,10 @@ from .model import (
     ResponseTimes,
     UtilizationVector,
     capacity_floor,
-    estimate_demand,
     make_snapshot,
     min_feasible_config,
     predict_response,
     rescale_snapshot,
-    residence_time,
-    response_time,
     utilization,
 )
 from .planner import PlanOutcome, SlaThresholds, acquire, plan_step, release

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, InfeasibleConfiguration, QnasError, UnattainableSla
-from .model import Configuration, DemandMatrix, make_snapshot, predict_response, rescale_snapshot
+from .model import Configuration, DemandMatrix, make_snapshot, predict_response
 from .planner import SlaThresholds
 from .simkit import ScenarioSpec, des_validate, run_scenario, subseed
 from .simkit.des import DISCIPLINES, PS
@@ -125,13 +125,16 @@ def _scenario_kwargs(cfg):
     C = int(_require(cfg, "C", int))
     K = int(_require(cfg, "K", int))
     horizon = int(_require(cfg, "horizon", int))
+    poisson = cfg.get("poisson_arrivals", False)
+    if not isinstance(poisson, bool):
+        raise ConfigError("poisson_arrivals must be true or false")
     kwargs = dict(
         num_classes=C,
         num_stations=K,
         horizon=horizon,
         window=float(_defaulted(cfg, "window", 1.0)),
         master_seed=int(_defaulted(cfg, "master_seed", 0)),
-        poisson_arrivals=bool(cfg.get("poisson_arrivals", False)),
+        poisson_arrivals=poisson,
     )
     wl_cfg = cfg.get("workload", {})
     law = _parse_workload(wl_cfg, C, horizon)
@@ -164,10 +167,10 @@ def _scenario_kwargs(cfg):
         seed=int(noise_cfg.get("seed", 0)),
     )
     if "initial_config" in cfg:
-        init = np.asarray(cfg["initial_config"], dtype=int)
-        if init.shape != (K,):
+        init = Configuration(cfg["initial_config"])
+        if init.num_stations != K:
             raise ConfigError("initial_config must list %d counts" % K)
-        kwargs["initial_config"] = Configuration(init)
+        kwargs["initial_config"] = init
     return kwargs
 
 
@@ -289,11 +292,14 @@ def cmd_validate(args):
     try:
         rates = np.asarray(_require(cfg, "rates", list), dtype=float)
         demands = np.asarray(_require(cfg, "demands", list), dtype=float)
-        ref = np.asarray(_defaulted(cfg, "ref_config", [1] * demands.shape[1]), dtype=int)
-        targets = [np.asarray(t, dtype=int) for t in _require(cfg, "targets", list)]
+        ref = Configuration(_defaulted(cfg, "ref_config", [1] * demands.shape[1]))
+        targets = [Configuration(t) for t in _require(cfg, "targets", list)]
         run_length = float(_defaulted(cfg, "run_length", 1e4))
         warmup_fraction = float(cfg.get("warmup_fraction", 0.2))
-        batches = int(cfg.get("batches", 10))
+        batches = cfg.get("batches", 10)
+        if not float(batches).is_integer():
+            raise ValueError("batches must be a whole number")
+        batches = int(batches)
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError("malformed value: %s" % exc) from exc
     disciplines = _defaulted(cfg, "disciplines", ["ps"])
@@ -307,39 +313,40 @@ def cmd_validate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    total_d = base.total_demands()
     rows = []
     ps_failures = 0
     for target in targets:
+        counts = target.counts.tolist()
         for disc in disciplines:
             try:
                 result = des_validate(base, target, discipline=disc,
                                       run_length=run_length,
                                       warmup_fraction=warmup_fraction,
                                       batches=batches,
-                                      seed=subseed(seed, "des-%s-%s" % (disc, target.tolist())))
+                                      seed=subseed(seed, "des-%s-%s" % (disc, counts)))
             except InfeasibleConfiguration as exc:
-                log.error("target %s: %s", target.tolist(), exc)
+                log.error("target %s: %s", counts, exc)
                 return EXIT_CONFIG
             except ValueError as exc:  # DES settings out of range
                 raise ConfigError(str(exc)) from exc
-            snap = rescale_snapshot(base, target)
-            rt = predict_response(snap, Configuration(target))
+            rt = predict_response(base, target)
             for c in range(base.num_classes):
                 for k in range(base.num_stations):
-                    if base.demands_ref.demands[c, k] <= 0:
+                    if total_d[c, k] <= 0:
                         continue
                     # Analytic per-visit residence: N_k instances each hold
                     # residence R_ck, one visit carries the whole station term.
-                    analytic = rt.per_class_station[c, k] * target[k]
+                    analytic = rt.per_class_station[c, k] * counts[k]
                     simulated = result.residence[c, k]
                     rel = abs(simulated - analytic) / analytic
                     if DISCIPLINES[disc] == PS and rel > 0.05:
                         ps_failures += 1
-                    rows.append([disc, "-".join(map(str, target.tolist())),
+                    rows.append([disc, "-".join(map(str, counts)),
                                  k + 1, c + 1, float(analytic), float(simulated),
                                  float(rel), float(result.residence_hw[c, k]),
                                  float(result.utilization[k])])
-    meta = "ref=%s run_length=%.9g seed=%d" % (ref.tolist(), run_length, seed)
+    meta = "ref=%s run_length=%.9g seed=%d" % (ref.counts.tolist(), run_length, seed)
     write_csv(os.path.join(out_dir, "validation.csv"), meta,
               ["discipline", "target", "station", "class", "analytic_R",
                "simulated_R", "rel_error", "ci_halfwidth", "utilization"],

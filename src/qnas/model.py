@@ -1,25 +1,18 @@
 """Open multiclass queueing-network model.
 
-All functions are pure and operate on a measured baseline (reference
-configuration, arrival rates, per-instance service demands and
-utilizations).  Predictions for hypothetical configurations follow from
-the product-invariance of total per-station demand: spreading a station's
-work over N instances divides both per-instance demand and per-instance
-utilization by N.
+All functions are pure and operate on a measured baseline: the reference
+configuration, arrival rates and the total per-station demands M_k * D_ck.
+Spreading a station's work over N instances divides per-instance demand and
+utilization by N but leaves these totals, and the capacity floor derived
+from them, unchanged, so predictions for any configuration read them as
+they are.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleConfiguration, OverloadedStation
-
-# Equality-style checks use max(abs, rel) at this tolerance.
-TOL = 1e-9
-
-
-def _check_close(a, b, tol=TOL):
-    return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+from .errors import InfeasibleConfiguration
 
 
 def _finite_nonneg(a):
@@ -44,12 +37,16 @@ def _trusted(cls, **fields):
 
 @dataclass(frozen=True)
 class Configuration:
-    """Integer vector of instance counts per station, every entry >= 1."""
+    """Integer vector of instance counts per station, every entry >= 1.
+    Whole-valued floats are accepted; any other float is an error."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
+            raise ValueError("instance counts must be whole numbers")
+        counts = np.array(raw, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D vector")
         if np.count_nonzero(counts < 1):
@@ -113,7 +110,7 @@ class DemandMatrix:
 @dataclass(frozen=True)
 class UtilizationVector:
     """Per-instance busy fraction per station.  Values >= 1 are representable
-    (overloaded measurements) but cannot be fed to residence-time math."""
+    (overloaded measurements)."""
 
     utilizations: np.ndarray
 
@@ -144,19 +141,15 @@ class ResponseTimes:
 @dataclass(frozen=True)
 class BaselineSnapshot:
     """Measured state at a reference configuration, the input to every
-    prediction.  Construction enforces the utilization law: the stored
-    utilizations must equal rates @ demands within tolerance."""
+    prediction.  It keeps what re-referencing leaves unchanged: the C x K
+    total demands M_k * D_ck and the capacity floor rates @ totals, both
+    read-only.  Build it with make_snapshot, which derives the floor, so the
+    utilization law holds by construction."""
 
     ref_config: Configuration
     rates: ArrivalRates
-    demands_ref: DemandMatrix
-    utilizations_ref: UtilizationVector
-
-    def __post_init__(self):
-        _check_shapes(self.ref_config, self.rates, self.demands_ref, self.utilizations_ref)
-        expected = utilization(self.rates, self.demands_ref).utilizations
-        if not _check_close(self.utilizations_ref.utilizations, expected):
-            raise ValueError("utilizations inconsistent with rates and demands")
+    totals: np.ndarray
+    floor: np.ndarray
 
     @property
     def num_classes(self):
@@ -166,31 +159,37 @@ class BaselineSnapshot:
     def num_stations(self):
         return self.ref_config.num_stations
 
+    @property
+    def demands_ref(self):
+        """Per-instance demands at ref_config: totals / M_k."""
+        return DemandMatrix(self.totals / self.ref_config.counts)
+
+    @property
+    def utilizations_ref(self):
+        """Per-instance utilizations at ref_config: floor / M_k."""
+        return UtilizationVector(self.floor / self.ref_config.counts)
+
     def total_demands(self):
         """Per-station total demand M_k * D_ck, invariant under rescaling."""
-        return _frozen(self.demands_ref.demands * self.ref_config.counts)
-
-
-def _check_shapes(config, rates, demands, utils):
-    C, K = rates.num_classes, config.num_stations
-    if demands.demands.shape != (C, K):
-        raise ValueError("demand matrix shape does not match (C, K)")
-    if utils.utilizations.shape != (K,):
-        raise ValueError("utilization vector length does not match K")
+        return self.totals
 
 
 def make_snapshot(ref_config, rates, demands_ref):
-    """Build a consistent BaselineSnapshot, deriving utilizations from the
-    utilization law.  Inputs that are not model types yet are validated
-    here; the derived utilizations obey the law by construction, so only
-    their finiteness is checked."""
+    """Build a BaselineSnapshot from per-instance demands measured at
+    ref_config: the one place they become the totals M_k * D_ck and the
+    capacity floor rates @ totals.  Inputs that are not model types yet are
+    validated here; totals or a floor that overflow to infinity are
+    rejected."""
     config = ref_config if isinstance(ref_config, Configuration) else Configuration(ref_config)
     rates = rates if isinstance(rates, ArrivalRates) else ArrivalRates(rates)
     demands = demands_ref if isinstance(demands_ref, DemandMatrix) else DemandMatrix(demands_ref)
-    utils = utilization(rates, demands)
-    _check_shapes(config, rates, demands, utils)
-    return _trusted(BaselineSnapshot, ref_config=config, rates=rates, demands_ref=demands,
-                    utilizations_ref=utils)
+    if demands.demands.shape != (rates.num_classes, config.num_stations):
+        raise ValueError("demand matrix shape does not match (C, K)")
+    totals = demands.demands * config.counts
+    floor = rates.rates @ totals
+    if not (_finite_nonneg(totals) and _finite_nonneg(floor)):
+        raise ValueError("total demands and capacity floor must be finite")
+    return BaselineSnapshot(config, rates, _frozen(totals), _frozen(floor))
 
 
 def utilization(rates, demands):
@@ -205,67 +204,28 @@ def utilization(rates, demands):
     return UtilizationVector(lam @ d)
 
 
-def residence_time(demand, util):
-    """Residence time at one instance: demand / (1 - utilization)."""
-    if demand < 0:
-        raise ValueError("demand must be >= 0")
-    if util >= 1.0:
-        raise OverloadedStation([], "utilization %.6g >= 1, residence time undefined" % util)
-    if util < 0:
-        raise ValueError("utilization must be >= 0")
-    return demand / (1.0 - util)
-
-
-def response_time(config, residences):
-    """Per-class response time: sum_k N_k * R_ck."""
-    counts = config.counts if isinstance(config, Configuration) else np.asarray(config)
-    r = np.asarray(residences, dtype=float)
-    if r.shape[-1] != counts.shape[0]:
-        raise ValueError("residence vector length does not match K")
-    return float(np.dot(counts, r)) if r.ndim == 1 else r @ counts
-
-
-def estimate_demand(residence_measured, utilization_measured):
-    """Recover a per-instance demand from measured residence and utilization:
-    D = R * (1 - U).  Inverse of residence_time at fixed U."""
-    if residence_measured < 0:
-        raise ValueError("residence must be >= 0")
-    if utilization_measured >= 1.0:
-        raise OverloadedStation(
-            [], "utilization %.6g >= 1, demand estimation invalid" % utilization_measured
-        )
-    if utilization_measured < 0:
-        raise ValueError("utilization must be >= 0")
-    return residence_measured * (1.0 - utilization_measured)
-
-
-def rescale_snapshot(base, target):
-    """Re-reference a snapshot at a different configuration.
-
-    Per-instance demands and utilizations scale by M_k / N_k, so the
-    per-station products M_k*D_ck and M_k*U_k are preserved.
-    """
+def _target(base, target):
+    """A target configuration for `base`, validated."""
     target = target if isinstance(target, Configuration) else Configuration(target)
     if target.num_stations != base.num_stations:
         raise ValueError("target configuration length does not match K")
-    ratio = base.ref_config.counts / target.counts
-    demands = base.demands_ref.demands * ratio
-    utils = base.utilizations_ref.utilizations * ratio
-    # Scaling keeps the utilization law; only overflow can break the snapshot.
-    if not (_finite_nonneg(demands) and _finite_nonneg(utils)):
-        raise ValueError("rescaled demands and utilizations must be finite")
-    return _trusted(BaselineSnapshot, ref_config=target, rates=base.rates,
-                    demands_ref=_trusted(DemandMatrix, demands=_frozen(demands)),
-                    utilizations_ref=_trusted(UtilizationVector, utilizations=_frozen(utils)))
+    return target
+
+
+def rescale_snapshot(base, target):
+    """Re-reference a snapshot at a different configuration.  Its totals and
+    floor do not depend on the configuration, so only ref_config changes."""
+    return replace(base, ref_config=_target(base, target))
 
 
 def capacity_floor(base):
-    """Real-valued lower bound on instance counts: Nmin_k = M_k * U_k(M).
+    """Real-valued lower bound on instance counts: Nmin_k = M_k * U_k(M),
+    the snapshot's rates @ totals.
 
     Invariant under re-referencing; a configuration is evaluable only
     strictly above this floor on every loaded station.
     """
-    return _frozen(base.ref_config.counts * base.utilizations_ref.utilizations)
+    return base.floor
 
 
 def residence_table(total_d, floor, counts):
@@ -290,9 +250,7 @@ def predict_response(base, target):
     Raises InfeasibleConfiguration if any station used by some class sits at
     or below the capacity floor.
     """
-    target = target if isinstance(target, Configuration) else Configuration(target)
-    if target.num_stations != base.num_stations:
-        raise ValueError("target configuration length does not match K")
+    target = _target(base, target)
     per_cs = residence_table(base.total_demands(), capacity_floor(base), target.counts)
     return ResponseTimes(per_cs @ target.counts, per_cs)
 

@@ -63,8 +63,9 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
     single-instance deployment; at `config` each instance of station k
     carries demand D_ck / N_k.  Measured utilizations and residence times
     are produced from the model, optionally corrupted by noise, and demands
-    are recovered via D = R * (1 - U).  The snapshot's utilizations are
-    recomputed from the recovered demands so it is internally consistent.
+    are recovered via D = R * (1 - U).  make_snapshot turns the recovered
+    demands into the snapshot's totals M_k * D_ck and derives its capacity
+    floor from them, so the measured utilizations are not kept.
     """
     rates = true_rates if isinstance(true_rates, ArrivalRates) else ArrivalRates(true_rates)
     truth = (

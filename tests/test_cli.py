@@ -24,6 +24,8 @@ BAD_SCENARIO_VALUES = {
     "bogus-noise-mode": {"noise": {"mode": "bogus"}},
     "multiplier-below-one": {"sla": {"multiplier": 0.5}},
     "no-stations": {"K": 0},
+    "fractional-initial-config": {"initial_config": [1.9, 1, 1.5, 1]},
+    "string-poisson-arrivals": {"poisson_arrivals": "false"},
 }
 
 
@@ -207,7 +209,8 @@ class TestValidate:
         {"disciplines": ["lifo"]}, {"batches": 1}, {"warmup_fraction": 1.5},
         {"run_length": 0}, {"batches": "ten"}, {"disciplines": [["ps"]]},
         {"rates": ["fast", 1.0]}, {"targets": [["two", 1, 2]]},
-        {"demands": [[0.5, 0.3], [0.5]]}])
+        {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
+        {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}])
     def test_malformed_config(self, tmp_path, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)

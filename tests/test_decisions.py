@@ -43,3 +43,17 @@ def decision_digest(record):
 def test_decisions_pinned(name):
     spec, expected = SCENARIOS[name]
     assert decision_digest(run_scenario(spec)) == expected
+
+
+# The whole test_06 acceptance grid: C in {10, 15, 20}, K in {20, 40, 60},
+# seeds 1-3, one sha256 over the cells' digests in that order.
+GRID_DIGEST = "50276fa396fbf2888804c3af664012ca5be12d3701efc5ec0a923d8615ccd7d9"
+
+
+def test_grid_decisions_pinned():
+    h = hashlib.sha256()
+    for C in (10, 15, 20):
+        for K in (20, 40, 60):
+            for seed in (1, 2, 3):
+                h.update(decision_digest(run_scenario(grid_cell(C, K, seed))).encode())
+    assert h.hexdigest() == GRID_DIGEST

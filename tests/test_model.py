@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from qnas.errors import InfeasibleConfiguration, OverloadedStation
+from qnas.errors import InfeasibleConfiguration
 from qnas.model import (
     ArrivalRates,
     Configuration,
     DemandMatrix,
     asymptotic_floor,
     capacity_floor,
-    estimate_demand,
     make_snapshot,
     min_feasible_config,
     predict_response,
     rescale_snapshot,
-    residence_time,
-    response_time,
     utilization,
 )
 
@@ -37,52 +34,6 @@ class TestUtilization:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             utilization([1.0], DEMO_DEMANDS)
-
-
-class TestResidenceTime:
-    def test_basic(self):
-        assert residence_time(0.5, 0.75) == pytest.approx(2.0, abs=1e-12)
-
-    def test_empty_queue(self):
-        assert residence_time(0.7, 0.0) == 0.7
-
-    def test_saturated(self):
-        with pytest.raises(OverloadedStation):
-            residence_time(0.5, 1.0)
-
-
-class TestResponseTime:
-    def test_weighted_sum(self):
-        assert response_time([2, 1, 2], [1.0, 1.0, 1.0]) == pytest.approx(5.0)
-
-    def test_unit_config(self):
-        r = np.array([0.3, 0.8, 1.1])
-        assert response_time([1, 1, 1], r) == pytest.approx(r.sum())
-
-    def test_zero_residences(self):
-        assert response_time([4, 7], [0.0, 0.0]) == 0.0
-
-
-class TestEstimateDemand:
-    def test_direct(self):
-        assert estimate_demand(2.0, 0.5) == pytest.approx(1.0)
-        assert estimate_demand(2.0, 0.75) == pytest.approx(0.5)
-
-    def test_zero_residence(self):
-        for u in (0.0, 0.5, 0.999):
-            assert estimate_demand(0.0, u) == 0.0
-
-    def test_saturated(self):
-        with pytest.raises(OverloadedStation):
-            estimate_demand(2.0, 1.0)
-
-    def test_inverts_residence_time(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            d = rng.uniform(0, 5)
-            u = rng.uniform(0, 0.99)
-            r = residence_time(d, u)
-            assert estimate_demand(r, u) == pytest.approx(d, rel=1e-12)
 
 
 class TestRescaleSnapshot:
@@ -126,12 +77,10 @@ class TestPredictResponse:
         for _ in range(50):
             base = random_baseline(rng)
             rt = predict_response(base, base.ref_config)
-            direct = np.zeros(base.num_classes)
-            u = base.utilizations_ref.utilizations
-            for c in range(base.num_classes):
-                res = [residence_time(d, uk) if d > 0 else 0.0
-                       for d, uk in zip(base.demands_ref.demands[c], u)]
-                direct[c] = response_time(base.ref_config, res)
+            # Open-network response at the reference: sum_k N_k * D_ck / (1 - U_k).
+            D = base.demands_ref.demands
+            U = base.utilizations_ref.utilizations
+            direct = (D / (1.0 - U)) @ base.ref_config.counts
             np.testing.assert_allclose(rt.per_class, direct, rtol=1e-9)
 
     def test_rereferencing_invariance(self):
@@ -243,16 +192,6 @@ class TestMinFeasibleConfig:
 
 
 class TestSnapshotConsistency:
-    def test_inconsistent_utilizations_rejected(self):
-        from qnas.model import BaselineSnapshot, UtilizationVector
-        with pytest.raises(ValueError):
-            BaselineSnapshot(
-                Configuration([1, 1, 1]),
-                ArrivalRates(DEMO_RATES),
-                DemandMatrix(DEMO_DEMANDS),
-                UtilizationVector([0.5, 0.5, 0.5]),
-            )
-
     def test_closure(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
@@ -263,6 +202,9 @@ class TestSnapshotConsistency:
     def test_configuration_validation(self):
         with pytest.raises(ValueError):
             Configuration([1, 0, 2])
+        with pytest.raises(ValueError):
+            Configuration([1.7, 2])
+        np.testing.assert_array_equal(Configuration([2.0, 1.0]).counts, [2, 1])
 
 
 class TestBoundary:
@@ -277,6 +219,8 @@ class TestBoundary:
         ([1, 1], DEMO_RATES, DEMO_DEMANDS),                         # K mismatch
         ([1, 1, 1], [2.0], DEMO_DEMANDS),                           # C mismatch
         ([1], [1e200], [[1e200]]),                                  # utilization overflows
+        ([1.7, 1, 1], DEMO_RATES, DEMO_DEMANDS),                    # fractional count
+        ([np.inf, 1, 1], DEMO_RATES, DEMO_DEMANDS),                 # infinite count
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_make_snapshot_rejects(self, ref, rates, demands):
@@ -292,7 +236,7 @@ class TestBoundary:
         with pytest.raises(ValueError):
             DemandMatrix([0.5, 0.5])
 
-    @pytest.mark.parametrize("target", [[2, 0, 2], [2, 1]])
+    @pytest.mark.parametrize("target", [[2, 0, 2], [2, 1], [2.9, 1, 2]])
     def test_bad_targets(self, demo, target):
         with pytest.raises(ValueError):
             predict_response(demo, target)
@@ -301,12 +245,12 @@ class TestBoundary:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rescale_overflow(self):
-        # Scaling by M/N = 2**62 overflows the demands, or only the
-        # utilizations when the rates are large.
+        # M = 2**62 instances overflow the total demand, or only the
+        # capacity floor when the rates are large; rescaling such a
+        # snapshot to N = 1 would need them, so it cannot be built.
         for rate, demand in ((1.0, 1e300), (1e11, 1e289)):
-            base = make_snapshot([2**62], [rate], [[demand]])
             with pytest.raises(ValueError):
-                rescale_snapshot(base, [1])
+                make_snapshot([2**62], [rate], [[demand]])
 
     def test_arrays_read_only(self, demo):
         from qnas.planner import SlaThresholds, acquire, release
