@@ -64,6 +64,22 @@ def _require(cfg, key, kind=None):
     return value
 
 
+def _whole(value, key):
+    """int(value), but a fractional number is a ConfigError where int()
+    would truncate it; whole-valued floats are accepted, as in
+    Configuration."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError("%s must be a whole number, got %r" % (key, value))
+    return int(value)
+
+
+def _master_seed(args, cfg):
+    """The --seed override, else the config's master_seed (default 0)."""
+    if args.seed is not None:
+        return args.seed
+    return _whole(_defaulted(cfg, "master_seed", 0), "master_seed")
+
+
 def _check_keys(cfg, allowed, where):
     unknown = set(cfg) - set(allowed)
     if unknown:
@@ -133,7 +149,7 @@ def _scenario_kwargs(cfg):
         num_stations=K,
         horizon=horizon,
         window=float(_defaulted(cfg, "window", 1.0)),
-        master_seed=int(_defaulted(cfg, "master_seed", 0)),
+        master_seed=_whole(_defaulted(cfg, "master_seed", 0), "master_seed"),
         poisson_arrivals=poisson,
     )
     wl_cfg = cfg.get("workload", {})
@@ -164,7 +180,7 @@ def _scenario_kwargs(cfg):
     kwargs["noise"] = NoiseSpec(
         mode=noise_cfg.get("mode", "none"),
         relative_sd=relative_sd,
-        seed=int(noise_cfg.get("seed", 0)),
+        seed=_whole(noise_cfg.get("seed", 0), "noise seed"),
     )
     if "initial_config" in cfg:
         init = Configuration(cfg["initial_config"])
@@ -253,10 +269,9 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, _SWEEP_KEYS, "sweep config")
     try:
-        c_values = [int(v) for v in _require(cfg, "C_values", list)]
-        k_values = [int(v) for v in _require(cfg, "K_values", list)]
-        base_seed = args.seed if args.seed is not None else int(_defaulted(cfg, "master_seed", 0))
-        seeds = [int(v) for v in cfg.get("seeds", [base_seed])]
+        c_values = [_whole(v, "C_values") for v in _require(cfg, "C_values", list)]
+        k_values = [_whole(v, "K_values") for v in _require(cfg, "K_values", list)]
+        seeds = [_whole(v, "seeds") for v in cfg.get("seeds", [_master_seed(args, cfg)])]
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed value: %s" % exc) from exc
     out_dir = _out_dir(args, cfg)
@@ -296,16 +311,13 @@ def cmd_validate(args):
         targets = [Configuration(t) for t in _require(cfg, "targets", list)]
         run_length = float(_defaulted(cfg, "run_length", 1e4))
         warmup_fraction = float(cfg.get("warmup_fraction", 0.2))
-        batches = cfg.get("batches", 10)
-        if not float(batches).is_integer():
-            raise ValueError("batches must be a whole number")
-        batches = int(batches)
+        batches = _whole(cfg.get("batches", 10), "batches")
+        seed = _master_seed(args, cfg)
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError("malformed value: %s" % exc) from exc
     disciplines = _defaulted(cfg, "disciplines", ["ps"])
     if not isinstance(disciplines, list) or not all(isinstance(d, str) for d in disciplines):
         raise ConfigError("disciplines must be a list of names")
-    seed = args.seed if args.seed is not None else int(_defaulted(cfg, "master_seed", 0))
     out_dir = _out_dir(args, cfg)
 
     try:

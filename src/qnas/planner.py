@@ -17,10 +17,11 @@ from .model import (
     _trusted,
     capacity_floor,
     counts_above,
-    predict_response,
-    rescale_snapshot,
     residence_table,
 )
+# Unused here; perfbench's --trace spans patch these planner attributes by
+# name, and a missing one fails it.
+from .model import predict_response, rescale_snapshot  # noqa: F401
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
@@ -88,35 +89,54 @@ def _tables(base, sla):
     return base.total_demands(), capacity_floor(base), sla.max_response
 
 
-# Both greedy loops keep their tables station-major (row k: station k), so
-# a move rewrites one contiguous row; a class is a strided column.  Counts
-# are Python ints for the scalar arithmetic and a float64 vector for the
+class _Greedy:
+    """The tables one greedy call works on, at counts it keeps >= 1: the
+    station-major total demands td, the floor (also as a list fl), the
+    thresholds, the counts as Python ints (cnt) and as a float64 vector
+    (fcounts), the C x K residence table per_cs and the response per_class =
+    per_cs.dot(fcounts).  The acquire and release phases update them in
+    place, so a release can start where an acquire left off."""
+
+    __slots__ = ("td", "floor", "fl", "limits", "cnt", "fcounts", "per_cs", "per_class")
+
+    def __init__(self, total_d, floor, limits, counts):
+        self.per_cs = residence_table(total_d, floor, counts)
+        self.fcounts = counts.astype(np.float64)
+        self.per_class = self.per_cs.dot(self.fcounts)
+        self.td = total_d.T.copy()
+        self.floor, self.fl, self.limits = floor, floor.tolist(), limits
+        self.cnt = counts.tolist()
+
+    def configuration(self):
+        return _trusted(Configuration, counts=_frozen(np.array(self.cnt, dtype=np.int64)))
+
+
+def _acquire_start(base, sla):
+    """Tables at the reference configuration lifted to the minimum feasible
+    point, so predictions are defined."""
+    total_d, floor, limits = _tables(base, sla)
+    _check_attainable(total_d, sla)
+    return _Greedy(total_d, floor, limits,
+                   np.maximum(base.ref_config.counts, counts_above(floor)))
+
+
+# Both phases keep their tables station-major (row k: station k), so a move
+# rewrites one contiguous row; a class is a strided column.  Counts are
+# Python ints for the scalar arithmetic and a float64 vector for the
 # response per_cs.dot(counts): the same BLAS mat-vec as per_cs @ counts,
 # without the integer cast or the matmul dispatch.  A class violates iff its
 # relative excess (R - limit) / limit is > 0, so the argmax of that one
 # vector (argmin of the slack) both answers "any violation?" and picks the
 # class.
 
-def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
-    """Grow the configuration until every class meets its threshold.
-
-    Preconditioning first lifts the configuration to the minimum feasible
-    point so predictions are defined; those additions are not counted as
-    greedy iterations.  Each greedy iteration adds one instance to the
-    station that most reduces the most-violating class's response time.
-    Returns (configuration, greedy iteration count).
-    """
-    total_d, floor, limits = _tables(base, sla)
-    _check_attainable(total_d, sla)
-    counts = np.maximum(base.ref_config.counts, counts_above(floor))
-    per_cs = residence_table(total_d, floor, counts)
-    fcounts = counts.astype(np.float64)
-    per_class = per_cs.dot(fcounts)
+def _acquire_phase(g, iteration_cap):
+    """Add instances until every class meets its threshold; returns the
+    greedy iteration count."""
+    td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
+    cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
     # Terms at one more instance, and the gain of that instance.
-    td = total_d.T.copy()
     more = _terms(td, fcounts + 1, floor)
     gain = _terms(td, fcounts, floor) - more
-    cnt, fl = counts.tolist(), floor.tolist()
     iters = 0
     while True:
         excess = per_class - limits
@@ -136,37 +156,25 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
         more[j] = nxt
         np.divide(td[j], n - fl[j], out=per_cs[:, j])
         per_class = per_cs.dot(fcounts)
-    return _configuration(cnt), iters
+    g.per_class = per_class
+    return iters
 
 
-def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
-    """Shrink the reference configuration greedily while keeping every
-    threshold satisfied.  The caller guarantees the reference configuration
-    already meets the thresholds.  Returns (configuration, iteration count);
-    the result is Pareto-optimal: no single instance can be removed without
-    breaking capacity or a threshold.
-
-    Each iteration tries the cheapest removal for the least-slack class by
-    the exact trial.  Only after a rejection are the tables consulted: once
-    every candidate left is doomed, the rest are rejected in one step.
-    """
-    total_d, floor, limits = _tables(base, sla)
-    counts = base.ref_config.counts
+def _release_phase(g, iteration_cap):
+    """Remove instances while every threshold holds; returns the iteration
+    count.  The caller guarantees the tables' counts meet the thresholds."""
+    td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
+    cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
     # Candidates must stay strictly above the capacity floor after removal.
-    candidates = counts - 1 > floor
+    candidates = fcounts - 1 > floor
     left = int(np.count_nonzero(candidates))
     if not left:
-        return base.ref_config, 0
-    per_cs = residence_table(total_d, floor, counts)
-    fcounts = counts.astype(np.float64)
-    per_class = per_cs.dot(fcounts)
+        return 0
     d = int(((limits - per_class) / limits).argmin())
     # Terms at the current counts and at one fewer instance (+inf: no candidate).
-    td = total_d.T.copy()
     terms = _terms(td, fcounts, floor)
     fewer = np.full_like(terms, np.inf)
     fewer[candidates] = _terms(td[candidates], fcounts[candidates] - 1, floor[candidates])
-    cnt, fl = counts.tolist(), floor.tolist()
     scale = 8 * len(cnt) * np.finfo(np.float64).eps
     reject_above = limits * (1.0 + MARGIN)
     moved = True
@@ -227,20 +235,54 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
                 if iters > iteration_cap:
                     raise IterationCap("release exceeded %d iterations" % iteration_cap)
                 break
-    return _configuration(cnt), iters
+    g.per_class = per_class
+    return iters
 
 
-def _configuration(counts):
-    """A Configuration from counts the greedy loops keep >= 1."""
-    return _trusted(Configuration, counts=_frozen(np.array(counts, dtype=np.int64)))
+def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+    """Grow the configuration until every class meets its threshold.
+
+    Preconditioning first lifts the configuration to the minimum feasible
+    point so predictions are defined; those additions are not counted as
+    greedy iterations.  Each greedy iteration adds one instance to the
+    station that most reduces the most-violating class's response time.
+    Returns (configuration, greedy iteration count).
+    """
+    g = _acquire_start(base, sla)
+    iters = _acquire_phase(g, iteration_cap)
+    return g.configuration(), iters
+
+
+def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+    """Shrink the reference configuration greedily while keeping every
+    threshold satisfied.  The caller guarantees the reference configuration
+    already meets the thresholds.  Returns (configuration, iteration count);
+    the result is Pareto-optimal: no single instance can be removed without
+    breaking capacity or a threshold.
+
+    Each iteration tries the cheapest removal for the least-slack class by
+    the exact trial.  Only after a rejection are the tables consulted: once
+    every candidate left is doomed, the rest are rejected in one step.
+    """
+    total_d, floor, limits = _tables(base, sla)
+    counts = base.ref_config.counts
+    # No candidate: nothing to build tables for, so a reference at or below
+    # the floor returns as it is.
+    if not np.count_nonzero(counts - 1 > floor):
+        return base.ref_config, 0
+    g = _Greedy(total_d, floor, limits, counts)
+    iters = _release_phase(g, iteration_cap)
+    return g.configuration(), iters
 
 
 def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
-    """One planning pass: acquire, re-reference the snapshot at the acquired
-    configuration, release, and report the result."""
-    acquired, acq_iters = acquire(base, sla, iteration_cap)
-    rebased = rescale_snapshot(base, acquired)
-    released, rel_iters = release(rebased, sla, iteration_cap)
-    rt = predict_response(rebased, released)
-    feasible = np.count_nonzero(rt.per_class <= sla.max_response) == sla.num_classes
-    return PlanOutcome(released, acq_iters, rel_iters, rt, feasible)
+    """One planning pass on one set of tables: acquire, then release from
+    the acquired configuration.  The prediction is the release phase's
+    final residence table and response, bit for bit what predict_response
+    gives at the released configuration."""
+    g = _acquire_start(base, sla)
+    acq_iters = _acquire_phase(g, iteration_cap)
+    rel_iters = _release_phase(g, iteration_cap)
+    rt = _trusted(ResponseTimes, per_class=g.per_class, per_class_station=g.per_cs)
+    feasible = np.count_nonzero(g.per_class <= sla.max_response) == sla.num_classes
+    return PlanOutcome(g.configuration(), acq_iters, rel_iters, rt, feasible)

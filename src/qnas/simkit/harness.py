@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import UnattainableSla
+from ..errors import OverloadedStation, UnattainableSla
 from ..model import Configuration, DemandMatrix, counts_above
 from ..planner import SlaThresholds, plan_step
 from ..telemetry import NO_NOISE, NoiseSpec, ObservationWindow, measure_rates, observe
@@ -116,16 +116,6 @@ def summarize(steps):
     )
 
 
-def _observation_config(rates, demands_unit, current):
-    """Where to take the measurement: the current configuration, or the
-    minimum feasible one if the workload has overloaded the current one."""
-    util = rates @ (demands_unit / current.counts[np.newaxis, :])
-    if np.all(util < 1.0):
-        return current
-    # rates @ demands_unit is the capacity floor at the unit reference.
-    return Configuration(counts_above(rates @ demands_unit))
-
-
 def run_scenario(spec):
     """Execute the control loop over the whole horizon."""
     demands = spec.demands
@@ -153,11 +143,17 @@ def run_scenario(spec):
         if spec.poisson_arrivals:
             counts = arr_rng.poisson(rates * spec.window)
             rates = measure_rates(ObservationWindow(spec.window, counts)).rates
-        obs_config = _observation_config(rates, demands.demands, config)
         noise = spec.noise
         if noise.mode == "sampled":
             noise = replace(noise, seed=subseed(noise.seed, "step-%d" % t))
-        snap = observe(rates, demands, obs_config, noise)
+        try:
+            snap = observe(rates, demands, config, noise)
+        except OverloadedStation:
+            # The workload has overloaded the current configuration: measure
+            # at the minimum feasible one.  rates @ demands is the capacity
+            # floor at the unit reference.
+            floor = rates @ demands.demands
+            snap = observe(rates, demands, Configuration(counts_above(floor)), noise)
         try:
             outcome = plan_step(snap, sla)
         except UnattainableSla as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverloadedStation
-from .model import ArrivalRates, Configuration, DemandMatrix, make_snapshot
+from .model import ArrivalRates, Configuration, DemandMatrix, _frozen, _trusted, make_snapshot
 
 UTIL_CLAMP = 1.0 - 1e-6
 
@@ -65,7 +65,8 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
     are produced from the model, optionally corrupted by noise, and demands
     are recovered via D = R * (1 - U).  make_snapshot turns the recovered
     demands into the snapshot's totals M_k * D_ck and derives its capacity
-    floor from them, so the measured utilizations are not kept.
+    floor from them, so the measured utilizations are not kept.  Raises
+    OverloadedStation if the workload saturates a station at `config`.
     """
     rates = true_rates if isinstance(true_rates, ArrivalRates) else ArrivalRates(true_rates)
     truth = (
@@ -85,5 +86,7 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
         sigma = np.sqrt(np.log1p(noise.relative_sd**2))
         resid = resid * rng.lognormal(0.0, sigma, size=resid.shape)
         util = np.minimum(util * rng.lognormal(0.0, sigma, size=util.shape), UTIL_CLAMP)
-    measured_demands = resid * (1.0 - util)[np.newaxis, :]
-    return make_snapshot(config, rates, measured_demands)
+    # Finite and >= 0 by construction (1 - util > 0); make_snapshot still
+    # rejects totals or a floor that overflow.
+    measured = _trusted(DemandMatrix, demands=_frozen(resid * (1.0 - util)[np.newaxis, :]))
+    return make_snapshot(config, rates, measured)

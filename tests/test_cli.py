@@ -26,11 +26,15 @@ BAD_SCENARIO_VALUES = {
     "no-stations": {"K": 0},
     "fractional-initial-config": {"initial_config": [1.9, 1, 1.5, 1]},
     "string-poisson-arrivals": {"poisson_arrivals": "false"},
+    "fractional-noise-seed": {"noise": {"mode": "sampled", "relative_sd": 0.05, "seed": 3.7}},
 }
+# A sweep reads master_seed itself and rejects the whole grid on it
+# (TestSweep.test_malformed_grid); in `run` it is a scenario key.
+BAD_RUN_VALUES = {**BAD_SCENARIO_VALUES, "fractional-master-seed": {"master_seed": 1.5}}
 
 
 def bad_scenario(name):
-    return {"C": 3, "K": 4, "horizon": 3, **BAD_SCENARIO_VALUES[name]}
+    return {"C": 3, "K": 4, "horizon": 3, **BAD_RUN_VALUES[name]}
 
 
 def read_csv(path):
@@ -78,7 +82,7 @@ class TestRun:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_UNATTAINABLE
 
-    @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_VALUES))
+    @pytest.mark.parametrize("name", sorted(BAD_RUN_VALUES))
     def test_out_of_range_values(self, tmp_path, name):
         cfg = bad_scenario(name)
         path = tmp_path / "cfg.json"
@@ -165,7 +169,8 @@ class TestSweep:
         assert rows == [["0", str(C), str(K)] + ["ERROR"] * 9]
 
     @pytest.mark.parametrize("override", [
-        {"C_values": ["x"]}, {"K_values": [None]}, {"seeds": ["x"]}, {"master_seed": "x"}])
+        {"C_values": ["x"]}, {"K_values": [None]}, {"seeds": ["x"]}, {"master_seed": "x"},
+        {"C_values": [2.7]}, {"K_values": [3.5]}, {"seeds": [0.9]}, {"master_seed": 1.5}])
     def test_malformed_grid(self, tmp_path, override):
         cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
         path = tmp_path / "sweep.json"
@@ -173,6 +178,21 @@ class TestSweep:
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_whole_valued_floats(self, tmp_path):
+        # 2.0 means 2: the grid, seeds and noise seed written as floats give
+        # the same sweep as written as integers.
+        outputs = []
+        for num in (int, float):
+            cfg = {"C_values": [num(2)], "K_values": [num(3)], "seeds": [num(1)],
+                   "master_seed": num(4), "horizon": 3,
+                   "noise": {"mode": "sampled", "relative_sd": 0.05, "seed": num(5)}}
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / num.__name__
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_small_grid_rows(self, tmp_path):
         cfg = {"C_values": [2, 3], "K_values": [3], "seeds": [1, 2], "horizon": 5,
@@ -210,7 +230,7 @@ class TestValidate:
         {"run_length": 0}, {"batches": "ten"}, {"disciplines": [["ps"]]},
         {"rates": ["fast", 1.0]}, {"targets": [["two", 1, 2]]},
         {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
-        {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}])
+        {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5}])
     def test_malformed_config(self, tmp_path, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)

@@ -1,9 +1,11 @@
 """Decision identity: a sha256 over the planner's per-step outputs on fixed
 scenarios.  A changed digest means the planner decides differently: a
-different configuration, iteration count or run summary on some step."""
+different configuration, iteration count or run summary on some step, or
+a predicted response that differs in any bit."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qnas.simkit import ScenarioSpec, run_scenario, subseed
@@ -39,10 +41,27 @@ def decision_digest(record):
     return h.hexdigest()
 
 
+# sha256 over every step's predicted per-class response bytes.
+PREDICTION_DIGESTS = {
+    "grid-10x20-seed1": "68a41b7a5c202451db855a69fb9b1d70550357f8b188e9b7a331eedc6360a9ed",
+    "grid-20x60-seed1": "14cdcf4b5b95e123894cbae62b98ca33819aa2361d6c7d01a8cffff57f44ad59",
+    "noisy-5x10": "36fb5c8e27b5bc13a2f59a1d0f63a0d56f81d23e031d332e39927d4c0fd060b9",
+}
+
+
+def prediction_digest(record):
+    h = hashlib.sha256()
+    for s in record.steps:
+        h.update(np.ascontiguousarray(s.predicted_response, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_decisions_pinned(name):
     spec, expected = SCENARIOS[name]
-    assert decision_digest(run_scenario(spec)) == expected
+    record = run_scenario(spec)
+    assert decision_digest(record) == expected
+    assert prediction_digest(record) == PREDICTION_DIGESTS[name]
 
 
 # The whole test_06 acceptance grid: C in {10, 15, 20}, K in {20, 40, 60},

@@ -132,6 +132,43 @@ def assert_same_decisions(base, sla, extra=0):
     assert got_iters == want_iters
 
 
+def composed_plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+    """plan_step from its public parts: acquire, re-reference the snapshot
+    at the acquired configuration, release, predict at the result."""
+    acquired, acq_iters = acquire(base, sla, iteration_cap)
+    rebased = rescale_snapshot(base, acquired)
+    released, rel_iters = release(rebased, sla, iteration_cap)
+    rt = predict_response(rebased, released)
+    feasible = bool(np.all(rt.per_class <= sla.max_response))
+    return PlanOutcome(released, acq_iters, rel_iters, rt, feasible)
+
+
+def assert_same_plan(base, sla, caps=False):
+    """plan_step equals its composition: counts, both iteration counts,
+    the prediction's bytes and feasibility.  With caps, every cap below the
+    larger iteration count raises IterationCap in both."""
+    want = composed_plan_step(base, sla)
+    got = plan_step(base, sla)
+    np.testing.assert_array_equal(got.new_config.counts, want.new_config.counts)
+    assert got.acquire_iterations == want.acquire_iterations
+    assert got.release_iterations == want.release_iterations
+    for field in ("per_class", "per_class_station"):
+        g, w = getattr(got.predicted_response, field), getattr(want.predicted_response, field)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert got.feasible == want.feasible
+    if caps:
+        top = max(want.acquire_iterations, want.release_iterations)
+        for cap in range(top):
+            with pytest.raises(IterationCap) as raised:
+                plan_step(base, sla, cap)
+            with pytest.raises(IterationCap) as expected:
+                composed_plan_step(base, sla, cap)
+            assert str(raised.value) == str(expected.value)
+        np.testing.assert_array_equal(plan_step(base, sla, top).new_config.counts,
+                                      want.new_config.counts)
+
+
 def brute_force_optimum(base, sla, cap_total):
     """Exhaustive search for the minimum-total feasible configuration with
     per-station counts bounded by the remaining total budget."""
@@ -266,6 +303,14 @@ class TestPlanStep:
     def test_demo_tight(self, demo):
         out = plan_step(demo, SlaThresholds([4.5, 5.0]))
         np.testing.assert_array_equal(out.new_config.counts, [3, 1, 2])
+        assert_same_plan(demo, SlaThresholds([4.5, 5.0]), caps=True)
+
+    def test_release_without_candidates(self, demo):
+        # Acquire stops at [2, 1, 2], one instance or less above the floor
+        # [1.5, 2/3, 1.5] everywhere, so release has no candidate to try.
+        sla = SlaThresholds([6.0, 5.0])
+        assert release(rescale_snapshot(demo, [2, 1, 2]), sla)[1] == 0
+        assert_same_plan(demo, sla, caps=True)
 
     def test_never_violates(self):
         rng = np.random.default_rng(47)
@@ -304,9 +349,12 @@ class TestEquivalence:
             base = make_base(rng)
             sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
             assert_same_decisions(base, sla)
+            assert_same_plan(base, sla)
             # Release again from above the acquired point, so long runs of
             # removals and rejections both occur.
-            assert_same_decisions(base, sla, rng.integers(0, 5, size=base.num_stations))
+            extra = rng.integers(0, 5, size=base.num_stations)
+            assert_same_decisions(base, sla, extra)
+            assert_same_plan(rescale_snapshot(base, acquire(base, sla)[0].counts + extra), sla)
 
     def test_random_baselines(self):
         self.check(random_baseline, 59, 320)
@@ -338,9 +386,11 @@ class TestEquivalence:
             base = make_base(rng)
             sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
             self.check_caps(acquire, reference_acquire, base, sla)
+            assert_same_plan(base, sla, caps=True)
             # From above the acquired point, so most runs end in a bulk rejection.
             start = acquire(base, sla)[0].counts + rng.integers(0, 5, size=base.num_stations)
             self.check_caps(release, reference_release, rescale_snapshot(base, start), sla)
+            assert_same_plan(rescale_snapshot(base, start), sla, caps=True)
 
     def test_thresholds_on_boundary(self):
         # Thresholds equal to the response after one removal, or one ulp
@@ -365,6 +415,7 @@ class TestEquivalence:
                     want, want_iters = reference_release(rebased, sla)
                     np.testing.assert_array_equal(got.counts, want.counts)
                     assert got_iters == want_iters
+                    assert_same_plan(rebased, sla)
 
     def test_release_demo_tie_break(self, demo):
         # From (3, 2, 3) the first removal takes station 1.  At (3, 1, 3)
