@@ -161,10 +161,7 @@ def _scenario_kwargs(cfg):
             if key in wl_cfg:
                 kwargs[key] = float(wl_cfg[key])
     if "demands" in cfg:
-        demands = np.asarray(cfg["demands"], dtype=float)
-        if demands.shape != (C, K):
-            raise ConfigError("demands must be a %d x %d matrix" % (C, K))
-        kwargs["demands"] = DemandMatrix(demands)
+        kwargs["demands"] = DemandMatrix(cfg["demands"])
     sla_cfg = cfg.get("sla", {})
     _check_keys(sla_cfg, _SLA_KEYS, "sla")
     if "max_response" in sla_cfg:
@@ -183,10 +180,7 @@ def _scenario_kwargs(cfg):
         seed=_whole(noise_cfg.get("seed", 0), "noise seed"),
     )
     if "initial_config" in cfg:
-        init = Configuration(cfg["initial_config"])
-        if init.num_stations != K:
-            raise ConfigError("initial_config must list %d counts" % K)
-        kwargs["initial_config"] = init
+        kwargs["initial_config"] = Configuration(cfg["initial_config"])
     return kwargs
 
 
@@ -271,7 +265,12 @@ def cmd_sweep(args):
     try:
         c_values = [_whole(v, "C_values") for v in _require(cfg, "C_values", list)]
         k_values = [_whole(v, "K_values") for v in _require(cfg, "K_values", list)]
-        seeds = [_whole(v, "seeds") for v in cfg.get("seeds", [_master_seed(args, cfg)])]
+        if "seeds" in cfg:
+            _whole(cfg.get("master_seed", 0), "master_seed")  # unused, still checked
+            seeds = cfg["seeds"]
+        else:
+            seeds = [_master_seed(args, cfg)]
+        seeds = [_whole(v, "seeds") for v in seeds]
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed value: %s" % exc) from exc
     out_dir = _out_dir(args, cfg)

@@ -19,11 +19,12 @@ Point estimates and 95% confidence half-widths come from batch means over
 the post-warmup portion of a single long run.
 """
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..model import Configuration, predict_response
 
@@ -335,6 +336,32 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed)
     return completions, visits, busy, visits_ci
 
 
+@functools.cache
+def _t975(df):
+    """Student-t quantile t(0.975, df): the t with P(|T| <= t) = 0.95.
+
+    Bisection to adjacent floats on the closed form of P(|T| <= t) for
+    integer df (Abramowitz & Stegun 26.7.3-4), theta = atan(t / sqrt(df)).
+    """
+    odd = df % 2
+    i = np.arange(1, df // 2)
+    ratio = (2 * i - 1 + odd) / (2 * i + odd)  # term i / term i-1, over cos^2
+
+    def prob(t):
+        theta = math.atan(t / math.sqrt(df))
+        sin, cos = math.sin(theta), math.cos(theta)
+        # df // 2 terms, the first 1: none for df = 1, where P = 2 theta / pi.
+        series = np.cumprod(ratio * cos * cos).sum() + (df > 1)
+        return 2 / math.pi * (theta + sin * cos * series) if odd else sin * series
+
+    lo, hi = 0.0, 1.0
+    while prob(hi) < 0.95:
+        lo, hi = hi, 2 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if prob(mid) < 0.95 else (lo, mid)
+    return hi
+
+
 def _batch_stats(values, times, t0, t1, batches):
     """Batch means by event time over [t0, t1]; returns (mean, halfwidth)."""
     if values.size == 0:
@@ -348,7 +375,7 @@ def _batch_stats(values, times, t0, t1, batches):
         return float(values.mean()), np.inf
     means = sums[ok] / cnts[ok]
     b = means.size
-    hw = stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b)
+    hw = _t975(b - 1) * means.std(ddof=1) / np.sqrt(b)
     return float(means.mean()), float(hw)
 
 

@@ -54,6 +54,15 @@ class ScenarioSpec:
         # Out-of-range knobs fail here, not once the run has started.
         if self.sla is None and not self.sla_multiplier > 1:
             raise ValueError("sla_multiplier must be > 1")
+        C, K = self.num_classes, self.num_stations
+        if self.demands is not None and self.demands.demands.shape != (C, K):
+            raise ValueError("demands must be a %d x %d matrix" % (C, K))
+        if self.sla is not None and self.sla.num_classes != C:
+            raise ValueError("sla must list %d thresholds" % C)
+        if self.workload is not None and self.workload.num_classes != C:
+            raise ValueError("workload law must have %d classes" % C)
+        if self.initial_config is not None and self.initial_config.num_stations != K:
+            raise ValueError("initial_config must list %d counts" % K)
         if self.workload is None:
             default_law(self.num_classes, self.horizon, 0, self.base_rate, self.amplitude,
                         self.perturbation_sd, self.perturbation_persistence)

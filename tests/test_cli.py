@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -35,6 +36,12 @@ BAD_RUN_VALUES = {**BAD_SCENARIO_VALUES, "fractional-master-seed": {"master_seed
 
 def bad_scenario(name):
     return {"C": 3, "K": 4, "horizon": 3, **BAD_RUN_VALUES[name]}
+
+
+def src_env():
+    """Environment for a fresh interpreter that imports qnas from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def read_csv(path):
@@ -121,13 +128,21 @@ class TestRun:
         # In a fresh interpreter, so logging is configured as on the command line.
         args = ["run", "--config", DEMO_CONFIG, "--out", str(tmp_path)]
         args = ["--quiet"] + args if where == "before" else args + ["--quiet"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(REPO, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-m", "qnas.cli"] + args, env=env,
+        proc = subprocess.run([sys.executable, "-m", "qnas.cli"] + args, env=src_env(),
                               capture_output=True, text=True, check=False)
         assert proc.returncode == EXIT_OK
         assert (proc.stdout, proc.stderr) == ("", "")
         assert (tmp_path / "summary.csv").exists()
+
+
+def test_imports_without_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that loads
+    # the CLI and the simulation kit has loaded no scipy module.
+    code = ("import qnas.cli, qnas.simkit, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSweep:
@@ -170,7 +185,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("override", [
         {"C_values": ["x"]}, {"K_values": [None]}, {"seeds": ["x"]}, {"master_seed": "x"},
-        {"C_values": [2.7]}, {"K_values": [3.5]}, {"seeds": [0.9]}, {"master_seed": 1.5}])
+        {"C_values": [2.7]}, {"K_values": [3.5]}, {"seeds": [0.9]}, {"master_seed": 1.5},
+        # Listed seeds leave master_seed unused, but it is checked all the same.
+        {"seeds": [1], "master_seed": "x"}, {"seeds": [1], "master_seed": 1.5}])
     def test_malformed_grid(self, tmp_path, override):
         cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
         path = tmp_path / "sweep.json"
@@ -178,6 +195,15 @@ class TestSweep:
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_seeds_need_no_master_seed(self, tmp_path, caplog):
+        # Listed seeds replace the master seed, so its default is not logged.
+        caplog.set_level(logging.INFO)
+        cfg = {"C_values": [2], "K_values": [3], "seeds": [1], "horizon": 2}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        assert "master_seed" not in caplog.text
 
     def test_whole_valued_floats(self, tmp_path):
         # 2.0 means 2: the grid, seeds and noise seed written as floats give

@@ -189,6 +189,21 @@ class TestValidation:
         assert r.response_hw[0] < r.response[0]
 
 
+class TestStudentT:
+    # t(0.975, df) from scipy 1.17.1's stats.t.ppf, written out so the test
+    # needs no scipy.
+    SCIPY_T975 = {
+        1: 12.706204736174694, 2: 4.302652729749462, 3: 3.1824463052837078,
+        4: 2.7764451051977934, 9: 2.262157162798205, 10: 2.228138851986274,
+        30: 2.0422724563012378, 120: 1.9799304050824402,
+        1000: 1.9623390808264083, 100000: 1.9599877075346095,
+    }
+
+    @pytest.mark.parametrize("df", sorted(SCIPY_T975))
+    def test_matches_scipy(self, df):
+        assert des._t975(df) == pytest.approx(self.SCIPY_T975[df], rel=1e-10, abs=0)
+
+
 class TestKernel:
     """Exact departures and busy time on hand-computed inputs."""
 

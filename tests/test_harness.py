@@ -80,6 +80,20 @@ class TestRunScenario:
         assert len(rec.steps) == 20
 
 
+class TestScenarioSpec:
+    # Each input must fit C=2 classes and K=3 stations; a misfit is refused
+    # at construction, not broadcast or left to fail mid-run.
+    @pytest.mark.parametrize("kwargs", [
+        {"demands": DemandMatrix([[0.5], [0.5]])},
+        {"sla": SlaThresholds([6.0])},
+        {"workload": WorkloadLaw([2.0], [0.0], [10.0], [0.0])},
+        {"initial_config": Configuration([1, 1])},
+    ], ids=["demands", "sla", "workload", "initial_config"])
+    def test_shape_mismatch(self, kwargs):
+        with pytest.raises(ValueError):
+            ScenarioSpec(num_classes=2, num_stations=3, horizon=3, **kwargs)
+
+
 class TestSummarize:
     def test_arithmetic_recomputable(self):
         spec = ScenarioSpec(num_classes=3, num_stations=4, horizon=40, master_seed=19)
