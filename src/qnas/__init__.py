@@ -19,10 +19,8 @@ from .model import (
     UtilizationVector,
     capacity_floor,
     make_snapshot,
-    min_feasible_config,
     predict_response,
     rescale_snapshot,
-    utilization,
 )
 from .planner import PlanOutcome, SlaThresholds, acquire, plan_step, release
 

@@ -98,14 +98,6 @@ class DemandMatrix:
             raise ValueError("demands must be finite and >= 0")
         object.__setattr__(self, "demands", _frozen(demands))
 
-    @property
-    def num_classes(self):
-        return self.demands.shape[0]
-
-    @property
-    def num_stations(self):
-        return self.demands.shape[1]
-
 
 @dataclass(frozen=True)
 class UtilizationVector:
@@ -113,14 +105,6 @@ class UtilizationVector:
     (overloaded measurements)."""
 
     utilizations: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.utilizations, dtype=np.float64)
-        if u.ndim != 1:
-            raise ValueError("utilizations must be a 1-D vector")
-        if not _finite_nonneg(u):
-            raise ValueError("utilizations must be finite and >= 0")
-        object.__setattr__(self, "utilizations", _frozen(u))
 
 
 @dataclass(frozen=True)
@@ -130,12 +114,6 @@ class ResponseTimes:
 
     per_class: np.ndarray
     per_class_station: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_class", np.asarray(self.per_class, dtype=np.float64))
-        object.__setattr__(
-            self, "per_class_station", np.asarray(self.per_class_station, dtype=np.float64)
-        )
 
 
 @dataclass(frozen=True)
@@ -160,21 +138,16 @@ class BaselineSnapshot:
         return self.ref_config.num_stations
 
     @property
-    def demands_ref(self):
-        """Per-instance demands at ref_config: totals / M_k."""
-        return DemandMatrix(self.totals / self.ref_config.counts)
-
-    @property
     def utilizations_ref(self):
         """Per-instance utilizations at ref_config: floor / M_k."""
-        return UtilizationVector(self.floor / self.ref_config.counts)
+        return UtilizationVector(_frozen(self.floor / self.ref_config.counts))
 
     def total_demands(self):
         """Per-station total demand M_k * D_ck, invariant under rescaling."""
         return self.totals
 
 
-def make_snapshot(ref_config, rates, demands_ref):
+def make_snapshot(ref_config, rates, demands):
     """Build a BaselineSnapshot from per-instance demands measured at
     ref_config: the one place they become the totals M_k * D_ck and the
     capacity floor rates @ totals.  Inputs that are not model types yet are
@@ -182,7 +155,7 @@ def make_snapshot(ref_config, rates, demands_ref):
     rejected."""
     config = ref_config if isinstance(ref_config, Configuration) else Configuration(ref_config)
     rates = rates if isinstance(rates, ArrivalRates) else ArrivalRates(rates)
-    demands = demands_ref if isinstance(demands_ref, DemandMatrix) else DemandMatrix(demands_ref)
+    demands = demands if isinstance(demands, DemandMatrix) else DemandMatrix(demands)
     if demands.demands.shape != (rates.num_classes, config.num_stations):
         raise ValueError("demand matrix shape does not match (C, K)")
     totals = demands.demands * config.counts
@@ -190,18 +163,6 @@ def make_snapshot(ref_config, rates, demands_ref):
     if not (_finite_nonneg(totals) and _finite_nonneg(floor)):
         raise ValueError("total demands and capacity floor must be finite")
     return BaselineSnapshot(config, rates, _frozen(totals), _frozen(floor))
-
-
-def utilization(rates, demands):
-    """Per-instance utilization U_k = sum_c lambda_c * D_ck.
-
-    Values >= 1 are returned as-is; overload is representable here.
-    """
-    lam = rates.rates if isinstance(rates, ArrivalRates) else np.asarray(rates, dtype=float)
-    d = demands.demands if isinstance(demands, DemandMatrix) else np.asarray(demands, dtype=float)
-    if d.shape[0] != lam.shape[0]:
-        raise ValueError("class count mismatch between rates and demands")
-    return UtilizationVector(lam @ d)
 
 
 def _target(base, target):
@@ -255,18 +216,7 @@ def predict_response(base, target):
     return ResponseTimes(per_cs @ target.counts, per_cs)
 
 
-def asymptotic_floor(base):
-    """Limit of R_c as all counts grow: sum_k M_k * D_ck(M)."""
-    return base.total_demands().sum(axis=1)
-
-
 def counts_above(floor):
     """Smallest integer counts strictly above a capacity floor, at least one
     instance everywhere."""
     return np.maximum(1, np.floor(floor).astype(np.int64) + 1)
-
-
-def min_feasible_config(base):
-    """Smallest integer configuration strictly above the capacity floor
-    (at least one instance everywhere)."""
-    return Configuration(counts_above(capacity_floor(base)))

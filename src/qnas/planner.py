@@ -71,40 +71,24 @@ def _terms(td, counts, floor):
     return td * counts / (counts - floor[:, np.newaxis])
 
 
-def check_attainable(base, sla):
-    """Thresholds must sit strictly above the asymptotic response floor."""
-    _check_attainable(base.total_demands(), sla)
-
-
-def _check_attainable(total_d, sla):
-    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
-    if np.count_nonzero(bad):
-        raise UnattainableSla(np.flatnonzero(bad).tolist())
-
-
-def _tables(base, sla):
-    """Total demands, capacity floor and thresholds of one greedy call."""
-    if sla.num_classes != base.num_classes:
-        raise ValueError("threshold vector length does not match C")
-    return base.total_demands(), capacity_floor(base), sla.max_response
-
-
 class _Greedy:
-    """The tables one greedy call works on, at counts it keeps >= 1: the
-    station-major total demands td, the floor (also as a list fl), the
-    thresholds, the counts as Python ints (cnt) and as a float64 vector
-    (fcounts), the C x K residence table per_cs and the response per_class =
-    per_cs.dot(fcounts).  The acquire and release phases update them in
-    place, so a release can start where an acquire left off."""
+    """The tables one greedy call works on, built from a snapshot and its
+    thresholds at counts it keeps >= 1: the station-major total demands td,
+    the floor (also as a list fl), the thresholds, the counts as Python ints
+    (cnt) and as a float64 vector (fcounts), the C x K residence table
+    per_cs and the response per_class = per_cs.dot(fcounts).  The acquire
+    and release phases update them in place, so a release can start where
+    an acquire left off."""
 
     __slots__ = ("td", "floor", "fl", "limits", "cnt", "fcounts", "per_cs", "per_class")
 
-    def __init__(self, total_d, floor, limits, counts):
+    def __init__(self, base, sla, counts):
+        total_d, floor = base.total_demands(), capacity_floor(base)
         self.per_cs = residence_table(total_d, floor, counts)
         self.fcounts = counts.astype(np.float64)
         self.per_class = self.per_cs.dot(self.fcounts)
         self.td = total_d.T.copy()
-        self.floor, self.fl, self.limits = floor, floor.tolist(), limits
+        self.floor, self.fl, self.limits = floor, floor.tolist(), sla.max_response
         self.cnt = counts.tolist()
 
     def configuration(self):
@@ -113,11 +97,15 @@ class _Greedy:
 
 def _acquire_start(base, sla):
     """Tables at the reference configuration lifted to the minimum feasible
-    point, so predictions are defined."""
-    total_d, floor, limits = _tables(base, sla)
-    _check_attainable(total_d, sla)
-    return _Greedy(total_d, floor, limits,
-                   np.maximum(base.ref_config.counts, counts_above(floor)))
+    point, so predictions are defined.  Every threshold must sit strictly
+    above its class's asymptotic response, the sum of its total demands."""
+    if sla.num_classes != base.num_classes:
+        raise ValueError("threshold vector length does not match C")
+    bad = sla.max_response <= base.total_demands().sum(axis=1) + 1e-9
+    if np.count_nonzero(bad):
+        raise UnattainableSla(np.flatnonzero(bad).tolist())
+    lifted = np.maximum(base.ref_config.counts, counts_above(capacity_floor(base)))
+    return _Greedy(base, sla, lifted)
 
 
 # Both phases keep their tables station-major (row k: station k), so a move
@@ -264,13 +252,14 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     the exact trial.  Only after a rejection are the tables consulted: once
     every candidate left is doomed, the rest are rejected in one step.
     """
-    total_d, floor, limits = _tables(base, sla)
+    if sla.num_classes != base.num_classes:
+        raise ValueError("threshold vector length does not match C")
     counts = base.ref_config.counts
     # No candidate: nothing to build tables for, so a reference at or below
     # the floor returns as it is.
-    if not np.count_nonzero(counts - 1 > floor):
+    if not np.count_nonzero(counts - 1 > capacity_floor(base)):
         return base.ref_config, 0
-    g = _Greedy(total_d, floor, limits, counts)
+    g = _Greedy(base, sla, counts)
     iters = _release_phase(g, iteration_cap)
     return g.configuration(), iters
 
@@ -283,6 +272,6 @@ def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     g = _acquire_start(base, sla)
     acq_iters = _acquire_phase(g, iteration_cap)
     rel_iters = _release_phase(g, iteration_cap)
-    rt = _trusted(ResponseTimes, per_class=g.per_class, per_class_station=g.per_cs)
+    rt = ResponseTimes(g.per_class, g.per_cs)
     feasible = np.count_nonzero(g.per_class <= sla.max_response) == sla.num_classes
     return PlanOutcome(g.configuration(), acq_iters, rel_iters, rt, feasible)

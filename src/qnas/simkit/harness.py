@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import OverloadedStation, UnattainableSla
 from ..model import Configuration, DemandMatrix, counts_above
 from ..planner import SlaThresholds, plan_step
-from ..telemetry import NO_NOISE, NoiseSpec, ObservationWindow, measure_rates, observe
+from ..telemetry import NO_NOISE, NoiseSpec, observe
 from ..workload import (
     DemandLaw,
     WorkloadLaw,
@@ -49,11 +49,12 @@ class ScenarioSpec:
             raise ValueError("C and K must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.window <= 0:
-            raise ValueError("window must be > 0")
-        # Out-of-range knobs fail here, not once the run has started.
-        if self.sla is None and not self.sla_multiplier > 1:
-            raise ValueError("sla_multiplier must be > 1")
+        # Out-of-range knobs fail here, not once the run has started; NaN
+        # fails both bounds.
+        if not 0 < self.window < np.inf:
+            raise ValueError("window must be finite and > 0")
+        if self.sla is None and not 1 < self.sla_multiplier < np.inf:
+            raise ValueError("sla_multiplier must be finite and > 1")
         C, K = self.num_classes, self.num_stations
         if self.demands is not None and self.demands.demands.shape != (C, K):
             raise ValueError("demands must be a %d x %d matrix" % (C, K))
@@ -150,8 +151,7 @@ def run_scenario(spec):
     for t in range(spec.horizon):
         rates = series[t]
         if spec.poisson_arrivals:
-            counts = arr_rng.poisson(rates * spec.window)
-            rates = measure_rates(ObservationWindow(spec.window, counts)).rates
+            rates = arr_rng.poisson(rates * spec.window) / spec.window
         noise = spec.noise
         if noise.mode == "sampled":
             noise = replace(noise, seed=subseed(noise.seed, "step-%d" % t))

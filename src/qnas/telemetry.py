@@ -1,6 +1,6 @@
 """Synthetic monitoring: build baseline snapshots the way a passive monitor
-would, from per-window arrival counts, measured residence times and
-per-instance utilizations.  Ground truth is given as the demand matrix of a
+would, from measured arrival rates, residence times and per-instance
+utilizations.  Ground truth is given as the demand matrix of a
 single-instance deployment; optional multiplicative noise stress-tests the
 control loop.
 """
@@ -16,23 +16,6 @@ UTIL_CLAMP = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
-class ObservationWindow:
-    """One monitoring period: its length and per-class arrival counts."""
-
-    length: float
-    arrival_counts: np.ndarray
-
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("window length must be > 0")
-        counts = np.array(self.arrival_counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise ValueError("arrival counts must be a vector of nonnegative integers")
-        counts.setflags(write=False)
-        object.__setattr__(self, "arrival_counts", counts)
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Measurement-noise knob: multiplicative lognormal factors with median 1
     applied to each measured residence time and utilization."""
@@ -44,16 +27,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("none", "sampled"):
             raise ValueError("noise mode must be 'none' or 'sampled'")
-        if self.relative_sd < 0:
-            raise ValueError("relative_sd must be >= 0")
+        # NaN fails both bounds.
+        if not 0 <= self.relative_sd < np.inf:
+            raise ValueError("relative_sd must be finite and >= 0")
 
 
 NO_NOISE = NoiseSpec()
-
-
-def measure_rates(window):
-    """Arrival-rate estimate: counts divided by window length."""
-    return ArrivalRates(window.arrival_counts / window.length)
 
 
 def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):

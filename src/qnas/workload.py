@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DemandMatrix
+from .model import DemandMatrix, _finite_nonneg
 from .planner import SlaThresholds
 
 
@@ -31,14 +31,17 @@ class WorkloadLaw:
             v = np.array(getattr(self, name), dtype=np.float64)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if np.any(self.base_rates < 0):
-            raise ValueError("base rates must be >= 0")
-        if np.any(self.amplitudes < 0) or np.any(self.amplitudes >= 1):
+        # Each check is written so that NaN fails it.
+        if not _finite_nonneg(self.base_rates):
+            raise ValueError("base rates must be finite and >= 0")
+        if not np.all((self.amplitudes >= 0) & (self.amplitudes < 1)):
             raise ValueError("amplitudes must lie in [0, 1)")
-        if np.any(self.periods <= 0):
-            raise ValueError("periods must be > 0")
-        if self.perturbation_sd < 0:
-            raise ValueError("perturbation_sd must be >= 0")
+        if not np.all((self.periods > 0) & (self.periods < np.inf)):
+            raise ValueError("periods must be finite and > 0")
+        if not np.all(np.isfinite(self.phases)):
+            raise ValueError("phases must be finite")
+        if not 0 <= self.perturbation_sd < np.inf:
+            raise ValueError("perturbation_sd must be finite and >= 0")
         if not 0 <= self.perturbation_persistence < 1:
             raise ValueError("perturbation persistence must lie in [0, 1)")
 

@@ -9,11 +9,10 @@ import numpy as np
 
 from qnas.model import (
     capacity_floor,
+    counts_above,
     make_snapshot,
-    min_feasible_config,
     predict_response,
     rescale_snapshot,
-    utilization,
 )
 from qnas.planner import SlaThresholds, acquire, plan_step, release
 from qnas.simkit import ScenarioSpec, des_validate, run_scenario, subseed
@@ -28,11 +27,11 @@ def report(name, detail):
 
 def test_01_bottleneck_shift():
     t0 = time.perf_counter()
-    u1 = utilization(DEMO_RATES, DEMO_DEMANDS).utilizations
+    base = make_snapshot([1, 1, 1], DEMO_RATES, DEMO_DEMANDS)
+    u1 = base.utilizations_ref.utilizations
     np.testing.assert_allclose(u1, [1.5, 2.0 / 3.0, 1.5], atol=1e-12, rtol=0)
     # Doubling station 1 halves its per-instance utilization but leaves
     # station 3 saturated: the bottleneck moves, it does not disappear.
-    base = make_snapshot([1, 1, 1], DEMO_RATES, DEMO_DEMANDS)
     shifted = rescale_snapshot(base, [2, 1, 1])
     u2 = shifted.utilizations_ref.utilizations
     np.testing.assert_allclose(u2, [0.75, 2.0 / 3.0, 1.5], atol=1e-12, rtol=0)
@@ -102,7 +101,7 @@ def test_04_monotonicity_and_additivity():
     for _ in range(1000):
         base = random_baseline(rng)
         K = base.num_stations
-        lo = min_feasible_config(base).counts + rng.integers(0, 5, size=K)
+        lo = counts_above(capacity_floor(base)) + rng.integers(0, 5, size=K)
         hi = lo + rng.integers(0, 5, size=K)
         r_lo = predict_response(base, lo).per_class
         r_hi = predict_response(base, hi).per_class
@@ -114,7 +113,7 @@ def test_04_monotonicity_and_additivity():
         K = base.num_stations
         if K < 2:
             continue
-        n = min_feasible_config(base).counts + rng.integers(0, 5, size=K)
+        n = counts_above(capacity_floor(base)) + rng.integers(0, 5, size=K)
         i, j = rng.choice(K, size=2, replace=False)
         e_i = np.eye(K, dtype=int)[i]
         e_j = np.eye(K, dtype=int)[j]

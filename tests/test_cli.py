@@ -14,6 +14,8 @@ DEMO_CONFIG = os.path.join(REPO, "configs", "demo.json")
 VALIDATE_CONFIG = os.path.join(REPO, "configs", "validate_demo.json")
 
 
+NAN, INF = float("nan"), float("inf")
+
 # Out-of-range or misshapen values for a C=3 scenario; each must be a
 # config error before the scenario runs.
 BAD_SCENARIO_VALUES = {
@@ -28,6 +30,19 @@ BAD_SCENARIO_VALUES = {
     "fractional-initial-config": {"initial_config": [1.9, 1, 1.5, 1]},
     "string-poisson-arrivals": {"poisson_arrivals": "false"},
     "fractional-noise-seed": {"noise": {"mode": "sampled", "relative_sd": 0.05, "seed": 3.7}},
+    # JSON admits NaN and Infinity; each must fail before the run, not
+    # switch its setting off or stop the run midway.
+    "nan-relative-sd": {"noise": {"mode": "sampled", "relative_sd": NAN}},
+    "inf-relative-sd": {"noise": {"mode": "sampled", "relative_sd": INF}},
+    "nan-perturbation-sd": {"workload": {"perturbation_sd": NAN}},
+    "nan-base-rate": {"workload": {"base_rate": NAN}},
+    "inf-base-rates": {"workload": {"base_rates": [INF, 1, 1]}},
+    "nan-amplitude": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [NAN, 0, 0]}},
+    "inf-period": {"workload": {"base_rates": [1, 1, 1], "periods": [INF, 3, 3]}},
+    "nan-phase": {"workload": {"base_rates": [1, 1, 1], "phases": [NAN, 0, 0]}},
+    "inf-multiplier": {"sla": {"multiplier": INF}},
+    "inf-window": {"window": INF},
+    "nan-window-poisson": {"window": NAN, "poisson_arrivals": True},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.

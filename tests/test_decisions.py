@@ -29,6 +29,10 @@ SCENARIOS = {
         ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
                      noise=NoiseSpec("sampled", 0.05, 1001)),
         "81197be9e567e75f2131fbc9bb1efa39fa7ff7b0233bdb298ce585a932081eb1"),
+    "poisson-5x10": (
+        ScenarioSpec(num_classes=5, num_stations=10, horizon=100, window=20.0, master_seed=1,
+                     poisson_arrivals=True),
+        "a40982e7944d758eb3ce7feadf1ab3df34723317ddf0bad556dc0b6331b07e04"),
 }
 
 
@@ -46,6 +50,7 @@ PREDICTION_DIGESTS = {
     "grid-10x20-seed1": "68a41b7a5c202451db855a69fb9b1d70550357f8b188e9b7a331eedc6360a9ed",
     "grid-20x60-seed1": "14cdcf4b5b95e123894cbae62b98ca33819aa2361d6c7d01a8cffff57f44ad59",
     "noisy-5x10": "36fb5c8e27b5bc13a2f59a1d0f63a0d56f81d23e031d332e39927d4c0fd060b9",
+    "poisson-5x10": "6473b2f03d64a72e0f68fbb0e6d95a41f1b7fb4a95a5643b6df61961b512636b",
 }
 
 

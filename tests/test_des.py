@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qnas.errors import InfeasibleConfiguration
-from qnas.model import make_snapshot, predict_response, rescale_snapshot
+from qnas.model import (
+    capacity_floor,
+    counts_above,
+    make_snapshot,
+    predict_response,
+    rescale_snapshot,
+)
 from qnas.simkit import des, des_validate, subseed
 
 from conftest import DEMO_DEMANDS, DEMO_RATES
@@ -132,8 +138,7 @@ class TestDesAnalyticAgreement:
         demands = rng.uniform(0.2, 0.6, size=(2, 3))
         rates = np.array([0.8, 0.5])
         base = make_snapshot([1, 1, 1], rates, demands)
-        from qnas.model import min_feasible_config
-        config = min_feasible_config(base).counts
+        config = counts_above(capacity_floor(base))
         snap = rescale_snapshot(base, config)
         assert np.all(snap.utilizations_ref.utilizations <= 0.9)
         r = des_validate(base, config, "ps", run_length=3e4, seed=9)

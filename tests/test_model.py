@@ -6,51 +6,50 @@ from qnas.model import (
     ArrivalRates,
     Configuration,
     DemandMatrix,
-    asymptotic_floor,
     capacity_floor,
+    counts_above,
     make_snapshot,
-    min_feasible_config,
     predict_response,
     rescale_snapshot,
-    utilization,
 )
 
 from conftest import DEMO_DEMANDS, DEMO_RATES, random_baseline
 
 
 class TestUtilization:
-    def test_demo_baseline(self):
-        u = utilization(DEMO_RATES, DEMO_DEMANDS).utilizations
+    """Per-instance utilizations at the reference, U_k = sum_c lambda_c * D_ck."""
+
+    def test_demo_baseline(self, demo):
+        u = demo.utilizations_ref.utilizations
         np.testing.assert_allclose(u, [1.5, 2.0 / 3.0, 1.5], rtol=1e-12)
 
     def test_zero_rates(self):
-        u = utilization([0.0, 0.0], DEMO_DEMANDS).utilizations
+        u = make_snapshot([1, 1, 1], [0.0, 0.0], DEMO_DEMANDS).utilizations_ref.utilizations
         assert np.all(u == 0.0)
 
     def test_single_term(self):
-        u = utilization([1.0], [[0.4]]).utilizations
+        u = make_snapshot([1], [1.0], [[0.4]]).utilizations_ref.utilizations
         assert u[0] == pytest.approx(0.4, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            utilization([1.0], DEMO_DEMANDS)
 
 
 class TestRescaleSnapshot:
     def test_demo_to_212(self, demo):
         s = rescale_snapshot(demo, [2, 1, 2])
-        np.testing.assert_allclose(s.demands_ref.demands[0], [0.25, 1.0 / 3.0, 0.25], rtol=1e-12)
+        per_instance = s.total_demands() / s.ref_config.counts
+        np.testing.assert_allclose(per_instance[0], [0.25, 1.0 / 3.0, 0.25], rtol=1e-12)
         np.testing.assert_allclose(s.utilizations_ref.utilizations, [0.75, 2.0 / 3.0, 0.75],
                                    rtol=1e-12)
 
     def test_identity(self, demo):
         s = rescale_snapshot(demo, demo.ref_config)
-        np.testing.assert_array_equal(s.demands_ref.demands, demo.demands_ref.demands)
+        np.testing.assert_array_equal(s.total_demands() / s.ref_config.counts,
+                                      demo.total_demands() / demo.ref_config.counts)
 
     def test_composition(self, demo):
         twice = rescale_snapshot(rescale_snapshot(demo, [2, 1, 2]), [4, 3, 2])
         once = rescale_snapshot(demo, [4, 3, 2])
-        np.testing.assert_allclose(twice.demands_ref.demands, once.demands_ref.demands, rtol=1e-12)
+        np.testing.assert_allclose(twice.total_demands() / twice.ref_config.counts,
+                                   once.total_demands() / once.ref_config.counts, rtol=1e-12)
         np.testing.assert_allclose(twice.utilizations_ref.utilizations,
                                    once.utilizations_ref.utilizations, rtol=1e-12)
 
@@ -78,7 +77,7 @@ class TestPredictResponse:
             base = random_baseline(rng)
             rt = predict_response(base, base.ref_config)
             # Open-network response at the reference: sum_k N_k * D_ck / (1 - U_k).
-            D = base.demands_ref.demands
+            D = base.total_demands() / base.ref_config.counts
             U = base.utilizations_ref.utilizations
             direct = (D / (1.0 - U)) @ base.ref_config.counts
             np.testing.assert_allclose(rt.per_class, direct, rtol=1e-9)
@@ -87,8 +86,8 @@ class TestPredictResponse:
         rng = np.random.default_rng(13)
         for _ in range(100):
             base = random_baseline(rng)
-            mid = min_feasible_config(base).counts + rng.integers(0, 4, size=base.num_stations)
-            target = min_feasible_config(base).counts + rng.integers(0, 6, size=base.num_stations)
+            mid = counts_above(capacity_floor(base)) + rng.integers(0, 4, size=base.num_stations)
+            target = counts_above(capacity_floor(base)) + rng.integers(0, 6, size=base.num_stations)
             direct = predict_response(base, target).per_class
             via = predict_response(rescale_snapshot(base, mid), target).per_class
             np.testing.assert_allclose(via, direct, rtol=1e-9)
@@ -97,7 +96,7 @@ class TestPredictResponse:
         rng = np.random.default_rng(17)
         for _ in range(200):
             base = random_baseline(rng)
-            lo = min_feasible_config(base).counts + rng.integers(0, 4, size=base.num_stations)
+            lo = counts_above(capacity_floor(base)) + rng.integers(0, 4, size=base.num_stations)
             hi = lo + rng.integers(0, 4, size=base.num_stations)
             r_lo = predict_response(base, lo).per_class
             r_hi = predict_response(base, hi).per_class
@@ -110,7 +109,7 @@ class TestPredictResponse:
             K = base.num_stations
             if K < 2:
                 continue
-            n = min_feasible_config(base).counts + rng.integers(0, 4, size=K)
+            n = counts_above(capacity_floor(base)) + rng.integers(0, 4, size=K)
             i, j = rng.choice(K, size=2, replace=False)
             e_i = np.eye(K, dtype=int)[i]
             e_j = np.eye(K, dtype=int)[j]
@@ -124,9 +123,9 @@ class TestPredictResponse:
         rng = np.random.default_rng(23)
         for _ in range(50):
             base = random_baseline(rng)
-            big = min_feasible_config(base).counts * 1000
+            big = counts_above(capacity_floor(base)) * 1000
             r = predict_response(base, big).per_class
-            floor = asymptotic_floor(base)
+            floor = base.total_demands().sum(axis=1)  # limit as all counts grow
             assert np.all(r >= floor - 1e-12)
             np.testing.assert_allclose(r, floor, rtol=2e-3)
 
@@ -138,7 +137,7 @@ class TestPredictResponse:
             base = random_baseline(rng)
             M = base.ref_config.counts.astype(float)
             U = base.utilizations_ref.utilizations
-            D = base.demands_ref.demands
+            D = base.total_demands() / base.ref_config.counts
             floor = capacity_floor(base)
             n = floor + rng.uniform(0.5, 3.0, size=base.num_stations)
 
@@ -174,21 +173,21 @@ class TestCapacityFloor:
 
 class TestMinFeasibleConfig:
     def test_demo(self, demo):
-        np.testing.assert_array_equal(min_feasible_config(demo).counts, [2, 1, 2])
+        np.testing.assert_array_equal(counts_above(capacity_floor(demo)), [2, 1, 2])
 
     def test_strict_at_integer_floor(self):
         base = make_snapshot([1], [4.0], [[0.5]])  # floor exactly 2.0
-        assert min_feasible_config(base).counts[0] == 3
+        assert counts_above(capacity_floor(base))[0] == 3
 
     def test_zero_load_station(self):
         base = make_snapshot([1, 1], [1.0], [[0.5, 0.0]])
-        assert min_feasible_config(base).counts[1] == 1
+        assert counts_above(capacity_floor(base))[1] == 1
 
     def test_prediction_defined_at_result(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             base = random_baseline(rng)
-            predict_response(base, min_feasible_config(base))  # must not raise
+            predict_response(base, counts_above(capacity_floor(base)))  # must not raise
 
 
 class TestSnapshotConsistency:
@@ -196,7 +195,7 @@ class TestSnapshotConsistency:
         rng = np.random.default_rng(37)
         for _ in range(100):
             base = random_baseline(rng)
-            u = utilization(base.rates, base.demands_ref).utilizations
+            u = base.rates.rates @ (base.total_demands() / base.ref_config.counts)
             np.testing.assert_allclose(u, base.utilizations_ref.utilizations, atol=1e-9)
 
     def test_configuration_validation(self):
@@ -258,7 +257,7 @@ class TestBoundary:
         sla = SlaThresholds([6.0, 5.0])
         for base in (demo, rescale_snapshot(demo, [3, 2, 3]),
                      observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2])):
-            arrays = [base.ref_config.counts, base.rates.rates, base.demands_ref.demands,
+            arrays = [base.ref_config.counts, base.rates.rates,
                       base.utilizations_ref.utilizations, base.total_demands(),
                       capacity_floor(base), acquire(base, sla)[0].counts,
                       release(rescale_snapshot(base, [3, 2, 3]), sla)[0].counts]

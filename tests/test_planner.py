@@ -6,10 +6,9 @@ import pytest
 from qnas.errors import InfeasibleConfiguration, IterationCap, UnattainableSla
 from qnas.model import (
     Configuration,
-    asymptotic_floor,
     capacity_floor,
+    counts_above,
     make_snapshot,
-    min_feasible_config,
     predict_response,
     rescale_snapshot,
 )
@@ -18,7 +17,6 @@ from qnas.planner import (
     PlanOutcome,
     SlaThresholds,
     acquire,
-    check_attainable,
     plan_step,
     release,
 )
@@ -41,10 +39,12 @@ def _class_response_terms(total_d_row, floor, counts):
 def reference_acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     if sla.num_classes != base.num_classes:
         raise ValueError("threshold vector length does not match C")
-    check_attainable(base, sla)
-    counts = np.maximum(base.ref_config.counts, min_feasible_config(base).counts)
     floor = capacity_floor(base)
     total_d = base.total_demands()
+    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
+    if np.any(bad):
+        raise UnattainableSla(np.flatnonzero(bad).tolist())
+    counts = np.maximum(base.ref_config.counts, counts_above(floor))
     limits = sla.max_response
     iters = 0
     rt = predict_response(base, Configuration(counts))
@@ -113,7 +113,7 @@ def duplicated_baseline(rng, ulps=0):
     K = base.num_stations
     src = rng.integers(0, K, size=rng.integers(1, K + 1))
     cols = np.concatenate([np.arange(K), src])
-    demands = base.demands_ref.demands[:, cols]
+    demands = (base.total_demands() / base.ref_config.counts)[:, cols]
     demands[:, K:] *= 1.0 + rng.integers(-ulps, ulps + 1, size=src.size) * np.finfo(float).eps
     return make_snapshot(base.ref_config.counts[cols], base.rates.rates, demands)
 
@@ -173,7 +173,7 @@ def brute_force_optimum(base, sla, cap_total):
     """Exhaustive search for the minimum-total feasible configuration with
     per-station counts bounded by the remaining total budget."""
     K = base.num_stations
-    minfeas = min_feasible_config(base).counts
+    minfeas = counts_above(capacity_floor(base))
     best = None
     highs = [cap_total - (minfeas.sum() - minfeas[k]) for k in range(K)]
     for combo in itertools.product(*[range(minfeas[k], highs[k] + 1) for k in range(K)]):
@@ -347,7 +347,8 @@ class TestEquivalence:
         rng = np.random.default_rng(seed)
         for _ in range(draws):
             base = make_base(rng)
-            sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
+            floors = base.total_demands().sum(axis=1)
+            sla = SlaThresholds(floors * rng.uniform(1.02, 3.0, size=base.num_classes))
             assert_same_decisions(base, sla)
             assert_same_plan(base, sla)
             # Release again from above the acquired point, so long runs of
@@ -384,7 +385,8 @@ class TestEquivalence:
         rng = np.random.default_rng(73)
         for _ in range(20):
             base = make_base(rng)
-            sla = SlaThresholds(asymptotic_floor(base) * rng.uniform(1.02, 3.0, size=base.num_classes))
+            floors = base.total_demands().sum(axis=1)
+            sla = SlaThresholds(floors * rng.uniform(1.02, 3.0, size=base.num_classes))
             self.check_caps(acquire, reference_acquire, base, sla)
             assert_same_plan(base, sla, caps=True)
             # From above the acquired point, so most runs end in a bulk rejection.
@@ -399,7 +401,7 @@ class TestEquivalence:
         rng = np.random.default_rng(79)
         for _ in range(60):
             base = random_baseline(rng)
-            counts = min_feasible_config(base).counts + rng.integers(0, 4, size=base.num_stations)
+            counts = counts_above(capacity_floor(base)) + rng.integers(0, 4, size=base.num_stations)
             rebased = rescale_snapshot(base, counts)
             floor = capacity_floor(rebased)
             for j in np.flatnonzero(counts - 1 > floor):
@@ -408,7 +410,7 @@ class TestEquivalence:
                 at = predict_response(rebased, fewer).per_class
                 below = np.where(rebased.total_demands()[:, j] > 0, np.nextafter(at, 0), at)
                 for limits in (at, below):
-                    if np.any(limits <= asymptotic_floor(rebased)):
+                    if np.any(limits <= rebased.total_demands().sum(axis=1)):
                         continue
                     sla = SlaThresholds(limits)
                     got, got_iters = release(rebased, sla)

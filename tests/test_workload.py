@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnas.planner import acquire, check_attainable
+from qnas.planner import acquire
 from qnas.model import make_snapshot
 from qnas.workload import (
     DemandLaw,
@@ -84,7 +84,8 @@ class TestDefaultThresholds:
             rates = rng.uniform(0.1, 2.0, size=C)
             base = make_snapshot(np.ones(K, dtype=int), rates, demands.demands)
             sla = default_thresholds(demands, 1.5)
-            check_attainable(base, sla)  # must not raise
+            # Every threshold above its class's asymptotic response floor.
+            assert np.all(sla.max_response > base.total_demands().sum(axis=1) + 1e-9)
 
     def test_near_boundary_multiplier(self):
         demands = gen_demands(DemandLaw(2, 4, seed=21))
