@@ -8,6 +8,7 @@ from them, unchanged, so predictions for any configuration read them as
 they are.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,8 +152,8 @@ def make_snapshot(ref_config, rates, demands):
     """Build a BaselineSnapshot from per-instance demands measured at
     ref_config: the one place they become the totals M_k * D_ck and the
     capacity floor rates @ totals.  Inputs that are not model types yet are
-    validated here; totals or a floor that overflow to infinity are
-    rejected."""
+    validated here; typed ones are taken as they are.  Totals or a floor
+    that overflow to infinity are rejected."""
     config = ref_config if isinstance(ref_config, Configuration) else Configuration(ref_config)
     rates = rates if isinstance(rates, ArrivalRates) else ArrivalRates(rates)
     demands = demands if isinstance(demands, DemandMatrix) else DemandMatrix(demands)
@@ -160,7 +161,10 @@ def make_snapshot(ref_config, rates, demands):
         raise ValueError("demand matrix shape does not match (C, K)")
     totals = demands.demands * config.counts
     floor = rates.rates @ totals
-    if not (_finite_nonneg(totals) and _finite_nonneg(floor)):
+    # Both are built from finite non-negative inputs, so an overflow (or
+    # 0 * inf in the floor) shows up as a non-finite sum; so does a sum
+    # that itself overflows.
+    if not math.isfinite(np.add.reduce(totals, axis=None) + np.add.reduce(floor)):
         raise ValueError("total demands and capacity floor must be finite")
     return BaselineSnapshot(config, rates, _frozen(totals), _frozen(floor))
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCap, UnattainableSla
+from .errors import InfeasibleConfiguration, IterationCap, UnattainableSla
 from .model import (
     Configuration,
     ResponseTimes,
@@ -32,6 +32,9 @@ DEFAULT_ITERATION_CAP = 1_000_000
 # table response above limits * (1 + MARGIN) means the trial would reject
 # too, for any K below about 10**6.
 MARGIN = 1e-9
+
+# Ties in the release ranking: marginals within 8 * K ulps of a response sum.
+_EPS8 = 8 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,18 @@ class _Greedy:
     thresholds at counts it keeps >= 1: the station-major total demands td,
     the floor (also as a list fl), the thresholds, the counts as Python ints
     (cnt) and as a float64 vector (fcounts), the C x K residence table
-    per_cs and the response per_class = per_cs.dot(fcounts).  The acquire
-    and release phases update them in place, so a release can start where
-    an acquire left off."""
+    per_cs at those counts and the response per_class =
+    per_cs.dot(fcounts).  The acquire and release phases update them in
+    place, so a release can start where an acquire left off."""
 
     __slots__ = ("td", "floor", "fl", "limits", "cnt", "fcounts", "per_cs", "per_class")
 
-    def __init__(self, base, sla, counts):
-        total_d, floor = base.total_demands(), capacity_floor(base)
-        self.per_cs = residence_table(total_d, floor, counts)
+    def __init__(self, base, sla, counts, per_cs):
+        floor = capacity_floor(base)
+        self.per_cs = per_cs
         self.fcounts = counts.astype(np.float64)
-        self.per_class = self.per_cs.dot(self.fcounts)
-        self.td = total_d.T.copy()
+        self.per_class = per_cs.dot(self.fcounts)
+        self.td = base.total_demands().T.copy()
         self.floor, self.fl, self.limits = floor, floor.tolist(), sla.max_response
         self.cnt = counts.tolist()
 
@@ -101,11 +104,19 @@ def _acquire_start(base, sla):
     above its class's asymptotic response, the sum of its total demands."""
     if sla.num_classes != base.num_classes:
         raise ValueError("threshold vector length does not match C")
-    bad = sla.max_response <= base.total_demands().sum(axis=1) + 1e-9
+    total_d, floor = base.total_demands(), capacity_floor(base)
+    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
     if np.count_nonzero(bad):
         raise UnattainableSla(np.flatnonzero(bad).tolist())
-    lifted = np.maximum(base.ref_config.counts, counts_above(capacity_floor(base)))
-    return _Greedy(base, sla, lifted)
+    lifted = np.maximum(base.ref_config.counts, counts_above(floor))
+    room = lifted - floor
+    # Lifted counts sit above the floor on every station, unless a floor is
+    # so large (2**53 and up) that a count next to it rounds onto it.
+    if np.count_nonzero(room <= 0):
+        raise InfeasibleConfiguration(np.flatnonzero(room <= 0).tolist())
+    # So this is residence_table without its checks: a skipped station has
+    # zero totals and a zero floor, and 0 / N is the table's +0.0.
+    return _Greedy(base, sla, lifted, total_d / room)
 
 
 # Both phases keep their tables station-major (row k: station k), so a move
@@ -122,9 +133,7 @@ def _acquire_phase(g, iteration_cap):
     greedy iteration count."""
     td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
     cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
-    # Terms at one more instance, and the gain of that instance.
-    more = _terms(td, fcounts + 1, floor)
-    gain = _terms(td, fcounts, floor) - more
+    gain = None
     iters = 0
     while True:
         excess = per_class - limits
@@ -135,6 +144,11 @@ def _acquire_phase(g, iteration_cap):
         iters += 1
         if iters > iteration_cap:
             raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
+        if gain is None:
+            # Terms at one more instance, and the gain of that instance;
+            # built at the first move, since many steps need none.
+            more = _terms(td, fcounts + 1, floor)
+            gain = _terms(td, fcounts, floor) - more
         j = int(gain[:, b].argmax())
         n = cnt[j] = cnt[j] + 1
         fcounts[j] = n
@@ -154,16 +168,20 @@ def _release_phase(g, iteration_cap):
     td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
     cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
     # Candidates must stay strictly above the capacity floor after removal.
-    candidates = fcounts - 1 > floor
+    less = fcounts - 1
+    room = less - floor
+    candidates = room > 0
     left = int(np.count_nonzero(candidates))
     if not left:
         return 0
     d = int(((limits - per_class) / limits).argmin())
-    # Terms at the current counts and at one fewer instance (+inf: no candidate).
+    # Terms at the current counts and at one fewer instance (+inf: no
+    # candidate), the latter as _terms writes them, on the candidates only.
     terms = _terms(td, fcounts, floor)
     fewer = np.full_like(terms, np.inf)
-    fewer[candidates] = _terms(td[candidates], fcounts[candidates] - 1, floor[candidates])
-    scale = 8 * len(cnt) * np.finfo(np.float64).eps
+    np.divide(td * less[:, np.newaxis], room[:, np.newaxis], out=fewer,
+              where=candidates[:, np.newaxis])
+    scale = _EPS8 * len(cnt)
     reject_above = limits * (1.0 + MARGIN)
     moved = True
     iters = 0
@@ -257,9 +275,10 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     counts = base.ref_config.counts
     # No candidate: nothing to build tables for, so a reference at or below
     # the floor returns as it is.
-    if not np.count_nonzero(counts - 1 > capacity_floor(base)):
+    floor = capacity_floor(base)
+    if not np.count_nonzero(counts - 1 > floor):
         return base.ref_config, 0
-    g = _Greedy(base, sla, counts)
+    g = _Greedy(base, sla, counts, residence_table(base.total_demands(), floor, counts))
     iters = _release_phase(g, iteration_cap)
     return g.configuration(), iters
 

@@ -22,11 +22,12 @@ the post-warmup portion of a single long run.
 import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..model import Configuration, predict_response
+from ..model import _target, capacity_floor, residence_table
 
 PS = "ps"
 FCFS = "fcfs"
@@ -389,20 +390,22 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     `subseed`; it seeds np.random.default_rng as given.  A negative seed
     raises ValueError.
     """
-    config = config if isinstance(config, Configuration) else Configuration(config)
+    config = _target(base, config)
     if discipline not in DISCIPLINES:
         raise ValueError("unknown discipline %r" % (discipline,))
-    if not run_length > 0:
-        raise ValueError("run length must be positive")
+    # NaN fails the bound, and inf would reach numpy's Poisson draw.
+    if not 0 < run_length < np.inf:
+        raise ValueError("run_length must be finite and > 0, got %r" % (run_length,))
     if not 0 <= warmup_fraction < 1:
         raise ValueError("warmup fraction must lie in [0, 1)")
-    if batches < 2:
-        raise ValueError("need at least 2 batches")
+    if not (isinstance(batches, numbers.Integral) and batches >= 2):
+        raise ValueError("batches must be an integer >= 2, got %r" % (batches,))
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
-    predict_response(base, config)  # raises InfeasibleConfiguration at or below the floor
     total_d = base.total_demands()
+    # Raises InfeasibleConfiguration at or below the floor.
+    residence_table(total_d, capacity_floor(base), config.counts)
     C, K = total_d.shape
     counts = config.counts
     warmup = warmup_fraction * run_length

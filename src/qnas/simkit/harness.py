@@ -3,13 +3,21 @@ system through the synthetic monitor, run one planning pass per step, and
 aggregate allocation statistics over the horizon.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import OverloadedStation, UnattainableSla
-from ..model import Configuration, DemandMatrix, counts_above
+from ..model import (
+    ArrivalRates,
+    Configuration,
+    DemandMatrix,
+    _finite_nonneg,
+    _frozen,
+    _trusted,
+    counts_above,
+)
 from ..planner import SlaThresholds, plan_step
 from ..telemetry import NO_NOISE, NoiseSpec, observe
 from ..workload import (
@@ -142,27 +150,35 @@ def run_scenario(spec):
                           base_rate=spec.base_rate, amplitude=spec.amplitude,
                           perturbation_sd=spec.perturbation_sd,
                           perturbation_persistence=spec.perturbation_persistence)
-    series = gen_arrival_series(law, spec.horizon,
-                                seed=subseed(spec.master_seed, "workload"))
+    series = gen_arrival_series(law, spec.horizon, seed=subseed(spec.master_seed, "workload"))
+    # Checked once here, so each step hands observe typed, read-only rates
+    # that it takes as they are; Poisson draws are finite and >= 0 as drawn.
+    if not _finite_nonneg(series):
+        raise ValueError("arrival rates must be finite and >= 0")
+    _frozen(series)
     config = spec.initial_config or Configuration(np.ones(spec.num_stations, dtype=np.int64))
     arr_rng = np.random.default_rng(subseed(spec.master_seed, "arrivals"))
+    noise = spec.noise
 
     steps = []
     for t in range(spec.horizon):
         rates = series[t]
         if spec.poisson_arrivals:
-            rates = arr_rng.poisson(rates * spec.window) / spec.window
-        noise = spec.noise
+            rates = _frozen(arr_rng.poisson(rates * spec.window) / spec.window)
+        arrivals = _trusted(ArrivalRates, rates=rates)
         if noise.mode == "sampled":
-            noise = replace(noise, seed=subseed(noise.seed, "step-%d" % t))
+            # spec.noise was checked when it was built; only the seed changes.
+            noise = _trusted(NoiseSpec, mode="sampled", relative_sd=spec.noise.relative_sd,
+                             seed=subseed(spec.noise.seed, "step-%d" % t))
         try:
-            snap = observe(rates, demands, config, noise)
+            snap = observe(arrivals, demands, config, noise)
         except OverloadedStation:
             # The workload has overloaded the current configuration: measure
             # at the minimum feasible one.  rates @ demands is the capacity
             # floor at the unit reference.
             floor = rates @ demands.demands
-            snap = observe(rates, demands, Configuration(counts_above(floor)), noise)
+            lifted = _trusted(Configuration, counts=_frozen(counts_above(floor)))
+            snap = observe(arrivals, demands, lifted, noise)
         try:
             outcome = plan_step(snap, sla)
         except UnattainableSla as exc:

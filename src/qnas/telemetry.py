@@ -46,6 +46,7 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
     demands into the snapshot's totals M_k * D_ck and derives its capacity
     floor from them, so the measured utilizations are not kept.  Raises
     OverloadedStation if the workload saturates a station at `config`.
+    Raw inputs are validated here; model types are taken as they are.
     """
     rates = true_rates if isinstance(true_rates, ArrivalRates) else ArrivalRates(true_rates)
     truth = (
@@ -54,18 +55,20 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
         else DemandMatrix(true_demands_unit)
     )
     config = config if isinstance(config, Configuration) else Configuration(config)
-    demands_cfg = truth.demands / config.counts[np.newaxis, :]
+    demands_cfg = truth.demands / config.counts
     util = rates.rates @ demands_cfg
-    over = np.flatnonzero(util >= 1.0)
-    if over.size:
-        raise OverloadedStation(over.tolist())
-    resid = demands_cfg / (1.0 - util)[np.newaxis, :]
+    if np.count_nonzero(util >= 1.0):
+        raise OverloadedStation(np.flatnonzero(util >= 1.0).tolist())
+    # demands_cfg and util are this call's own arrays, so the rest works in
+    # place; the operations and their order are those of D = R * (1 - U).
+    resid = np.divide(demands_cfg, 1.0 - util, out=demands_cfg)
     if noise.mode == "sampled" and noise.relative_sd > 0:
         rng = np.random.default_rng(noise.seed)
         sigma = np.sqrt(np.log1p(noise.relative_sd**2))
-        resid = resid * rng.lognormal(0.0, sigma, size=resid.shape)
-        util = np.minimum(util * rng.lognormal(0.0, sigma, size=util.shape), UTIL_CLAMP)
+        resid *= rng.lognormal(0.0, sigma, size=resid.shape)
+        util *= rng.lognormal(0.0, sigma, size=util.shape)
+        np.minimum(util, UTIL_CLAMP, out=util)
+    resid *= 1.0 - util
     # Finite and >= 0 by construction (1 - util > 0); make_snapshot still
     # rejects totals or a floor that overflow.
-    measured = _trusted(DemandMatrix, demands=_frozen(resid * (1.0 - util)[np.newaxis, :]))
-    return make_snapshot(config, rates, measured)
+    return make_snapshot(config, rates, _trusted(DemandMatrix, demands=_frozen(resid)))

@@ -271,8 +271,9 @@ class TestValidate:
         {"run_length": 0}, {"batches": "ten"}, {"disciplines": [["ps"]]},
         {"rates": ["fast", 1.0]}, {"targets": [["two", 1, 2]]},
         {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
-        {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5}])
-    def test_malformed_config(self, tmp_path, override):
+        {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
+        {"run_length": float("inf")}])
+    def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)
         path = tmp_path / "cfg.json"
@@ -280,6 +281,10 @@ class TestValidate:
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "validation.csv").exists()
+        if override.get("run_length") == float("inf"):
+            # Written as Infinity in the JSON; numpy's Poisson draw used to
+            # report it as "lam value too large".
+            assert "run_length" in caplog.text
 
     def test_mm1_closed_form(self, tmp_path):
         cfg = {"rates": [0.5], "demands": [[1.0]], "ref_config": [1],

@@ -167,6 +167,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             des_validate(base, [1], "lifo", run_length=100)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("run_length", np.inf), ("run_length", np.nan), ("run_length", 0.0),
+        ("batches", 2.5), ("batches", 1)])
+    def test_bad_setting_named(self, setting, value):
+        base = make_snapshot([1], [0.5], [[1.0]])
+        kwargs = {"run_length": 100.0, setting: value}
+        with pytest.raises(ValueError, match=setting):
+            des_validate(base, [1], "ps", **kwargs)
+
     def test_deterministic_per_seed(self):
         base = make_snapshot([1], [0.5], [[1.0]])
         a = des_validate(base, [1], "ps", run_length=1e3, seed=3)

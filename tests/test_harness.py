@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qnas.errors import UnattainableSla
+from qnas import telemetry
+from qnas.errors import OverloadedStation, UnattainableSla
 from qnas.model import Configuration, DemandMatrix
 from qnas.planner import SlaThresholds
-from qnas.simkit import ScenarioSpec, run_scenario, subseed, summarize
+from qnas.simkit import ScenarioSpec, harness, run_scenario, subseed, summarize
 from qnas.telemetry import NoiseSpec
 from qnas.workload import WorkloadLaw
 
@@ -78,6 +79,70 @@ class TestRunScenario:
                             window=1000.0, poisson_arrivals=True)
         rec = run_scenario(spec)
         assert len(rec.steps) == 20
+
+
+class TestSeams:
+    """perfbench times the loop by patching harness.observe,
+    harness.plan_step and telemetry.make_snapshot by name, so the loop must
+    reach each through its module global."""
+
+    def test_each_seam_once_per_step(self, monkeypatch):
+        events = []
+
+        def wrap(module, name):
+            inner = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                try:
+                    out = inner(*args, **kwargs)
+                except OverloadedStation:
+                    events.append(name + " overloaded")
+                    raise
+                events.append(name)
+                return out
+            monkeypatch.setattr(module, name, recorded)
+
+        wrap(harness, "observe")
+        wrap(harness, "plan_step")
+        wrap(telemetry, "make_snapshot")
+        spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
+                            noise=NoiseSpec("sampled", 0.05, 1001))
+        run_scenario(spec)
+        steps, step = [], []
+        for e in events:
+            step.append(e)
+            if e == "plan_step":
+                steps.append(step)
+                step = []
+        assert step == [] and len(steps) == spec.horizon
+        # make_snapshot reports inside observe, so it comes first.
+        plain = ["make_snapshot", "observe", "plan_step"]
+        overloaded = ["observe overloaded"] + plain
+        assert all(s in (plain, overloaded) for s in steps)
+        assert overloaded in steps and plain in steps
+
+    def test_series_checked_before_step_zero(self, monkeypatch):
+        real = harness.gen_arrival_series
+
+        def with_nan(law, horizon, seed):
+            series = real(law, horizon, seed)
+            series[-1, 0] = np.nan
+            return series
+
+        def never(*args):
+            raise AssertionError("observe called")
+        monkeypatch.setattr(harness, "gen_arrival_series", with_nan)
+        monkeypatch.setattr(harness, "observe", never)
+        spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=5, master_seed=3)
+        with pytest.raises(ValueError, match="arrival rates"):
+            run_scenario(spec)
+
+    def test_step_rates_read_only(self):
+        spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=4, master_seed=3,
+                            window=50.0, poisson_arrivals=True)
+        for s in run_scenario(spec).steps + run_scenario(demo_spec()).steps:
+            with pytest.raises(ValueError):
+                s.rates[0] = 1.0
 
 
 class TestScenarioSpec:

@@ -251,6 +251,16 @@ class TestBoundary:
             with pytest.raises(ValueError):
                 make_snapshot([2**62], [rate], [[demand]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_typed_overflow(self):
+        # Typed inputs skip coercion but not the overflow check: totals that
+        # overflow, a floor that overflows, and a floor of 0 * inf.
+        for rates, demands in (([1.0], [[1e300]]), ([1e11], [[1e289]]),
+                               ([0.0, 1.0], [[1e300], [1e-300]])):
+            with pytest.raises(ValueError):
+                make_snapshot(Configuration([2**62]), ArrivalRates(rates),
+                              DemandMatrix(demands))
+
     def test_arrays_read_only(self, demo):
         from qnas.planner import SlaThresholds, acquire, release
         from qnas.telemetry import observe
