@@ -196,15 +196,13 @@ def capacity_floor(base):
 def residence_table(total_d, floor, counts):
     """C x K residence at one instance, D_ck*M_k / (N_k - floor_k), from a
     snapshot's total demands and capacity floor; zero wherever a class
-    skips the station.  Raises InfeasibleConfiguration if a used station
-    sits at or below its floor."""
-    used = total_d.sum(axis=0) > 0.0
-    bad = used & (counts <= floor)
-    if np.count_nonzero(bad):
-        raise InfeasibleConfiguration(np.flatnonzero(bad).tolist())
-    per_cs = np.zeros_like(total_d)
-    np.divide(total_d, counts - floor, out=per_cs, where=used)
-    return per_cs
+    skips the station.  Raises InfeasibleConfiguration if a station sits at
+    or below its floor.  A station no class uses has a zero floor, so at
+    counts >= 1 only a used station can."""
+    room = counts - floor
+    if np.count_nonzero(room <= 0):
+        raise InfeasibleConfiguration(np.flatnonzero(room <= 0).tolist())
+    return total_d / room
 
 
 def predict_response(base, target):

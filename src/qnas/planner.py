@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConfiguration, IterationCap, UnattainableSla
+from .errors import IterationCap, UnattainableSla
 from .model import (
     Configuration,
     ResponseTimes,
@@ -79,18 +79,18 @@ class _Greedy:
     thresholds at counts it keeps >= 1: the station-major total demands td,
     the floor (also as a list fl), the thresholds, the counts as Python ints
     (cnt) and as a float64 vector (fcounts), the C x K residence table
-    per_cs at those counts and the response per_class =
-    per_cs.dot(fcounts).  The acquire and release phases update them in
-    place, so a release can start where an acquire left off."""
+    per_cs and the response per_class = per_cs.dot(fcounts).  The acquire
+    and release phases update them in place, so a release can start where
+    an acquire left off."""
 
     __slots__ = ("td", "floor", "fl", "limits", "cnt", "fcounts", "per_cs", "per_class")
 
-    def __init__(self, base, sla, counts, per_cs):
-        floor = capacity_floor(base)
-        self.per_cs = per_cs
+    def __init__(self, base, sla, counts):
+        total_d, floor = base.total_demands(), capacity_floor(base)
+        self.per_cs = residence_table(total_d, floor, counts)
         self.fcounts = counts.astype(np.float64)
-        self.per_class = per_cs.dot(self.fcounts)
-        self.td = base.total_demands().T.copy()
+        self.per_class = self.per_cs.dot(self.fcounts)
+        self.td = total_d.T.copy()
         self.floor, self.fl, self.limits = floor, floor.tolist(), sla.max_response
         self.cnt = counts.tolist()
 
@@ -104,19 +104,14 @@ def _acquire_start(base, sla):
     above its class's asymptotic response, the sum of its total demands."""
     if sla.num_classes != base.num_classes:
         raise ValueError("threshold vector length does not match C")
-    total_d, floor = base.total_demands(), capacity_floor(base)
-    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
+    bad = sla.max_response <= base.total_demands().sum(axis=1) + 1e-9
     if np.count_nonzero(bad):
         raise UnattainableSla(np.flatnonzero(bad).tolist())
-    lifted = np.maximum(base.ref_config.counts, counts_above(floor))
-    room = lifted - floor
     # Lifted counts sit above the floor on every station, unless a floor is
-    # so large (2**53 and up) that a count next to it rounds onto it.
-    if np.count_nonzero(room <= 0):
-        raise InfeasibleConfiguration(np.flatnonzero(room <= 0).tolist())
-    # So this is residence_table without its checks: a skipped station has
-    # zero totals and a zero floor, and 0 / N is the table's +0.0.
-    return _Greedy(base, sla, lifted, total_d / room)
+    # so large (2**53 and up) that a count next to it rounds onto it; then
+    # residence_table reports the station infeasible.
+    lifted = np.maximum(base.ref_config.counts, counts_above(capacity_floor(base)))
+    return _Greedy(base, sla, lifted)
 
 
 # Both phases keep their tables station-major (row k: station k), so a move
@@ -275,10 +270,9 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     counts = base.ref_config.counts
     # No candidate: nothing to build tables for, so a reference at or below
     # the floor returns as it is.
-    floor = capacity_floor(base)
-    if not np.count_nonzero(counts - 1 > floor):
+    if not np.count_nonzero(counts - 1 > capacity_floor(base)):
         return base.ref_config, 0
-    g = _Greedy(base, sla, counts, residence_table(base.total_demands(), floor, counts))
+    g = _Greedy(base, sla, counts)
     iters = _release_phase(g, iteration_cap)
     return g.configuration(), iters
 

@@ -168,8 +168,8 @@ def run_scenario(spec):
         arrivals = _trusted(ArrivalRates, rates=rates)
         if noise.mode == "sampled":
             # spec.noise was checked when it was built; only the seed changes.
-            noise = _trusted(NoiseSpec, mode="sampled", relative_sd=spec.noise.relative_sd,
-                             seed=subseed(spec.noise.seed, "step-%d" % t))
+            noise = _trusted(NoiseSpec, **{**vars(spec.noise),
+                                           "seed": subseed(spec.noise.seed, "step-%d" % t)})
         try:
             snap = observe(arrivals, demands, config, noise)
         except OverloadedStation:

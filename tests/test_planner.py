@@ -11,21 +11,17 @@ from qnas.model import (
     make_snapshot,
     predict_response,
     rescale_snapshot,
-    residence_table,
 )
 from qnas.planner import (
     DEFAULT_ITERATION_CAP,
     PlanOutcome,
     SlaThresholds,
-    _acquire_start,
     acquire,
     plan_step,
     release,
 )
-from qnas.simkit import harness, run_scenario
 
 from conftest import random_baseline
-from test_decisions import SCENARIOS
 
 
 # -- Reference oracle: the original per-candidate planner, kept verbatim. ----
@@ -446,41 +442,8 @@ class TestAcceptanceFixtureOptimality:
 
 
 class TestStartTable:
-    """_acquire_start divides the totals by the lifted headroom directly;
-    that must be residence_table at the lifted counts, byte for byte."""
-
-    @staticmethod
-    def check(base, sla):
-        floor = capacity_floor(base)
-        lifted = np.maximum(base.ref_config.counts, counts_above(floor))
-        g = _acquire_start(base, sla)
-        expected = residence_table(base.total_demands(), floor, lifted)
-        assert g.per_cs.tobytes() == expected.tobytes()
-        assert g.cnt == lifted.tolist()
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pinned_scenarios(self, name, monkeypatch):
-        seen = []
-        real = harness.plan_step
-
-        def checked(base, sla, *args):
-            self.check(base, sla)
-            seen.append(base)
-            return real(base, sla, *args)
-        monkeypatch.setattr(harness, "plan_step", checked)
-        spec = SCENARIOS[name][0]
-        run_scenario(spec)
-        assert len(seen) == spec.horizon
-
-    def test_random_baselines(self):
-        rng = np.random.default_rng(37)
-        for _ in range(300):
-            base = random_baseline(rng)
-            # Thresholds attainable at every size, from just above the
-            # asymptotic response up; the reference may sit below the floor.
-            floor_r = base.total_demands().sum(axis=1)
-            sla = SlaThresholds(floor_r * rng.uniform(1.01, 3.0, size=floor_r.shape))
-            self.check(rescale_snapshot(base, rng.integers(1, 4, size=base.num_stations)), sla)
+    """plan_step lifts the counts above the floor before building its
+    residence table."""
 
     def test_floor_beyond_exact_counts(self):
         # At a floor of 1e16 the lifted count floor + 1 rounds back onto the
