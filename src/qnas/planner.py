@@ -116,16 +116,17 @@ def _acquire_start(base, sla):
 
 # Both phases keep their tables station-major (row k: station k), so a move
 # rewrites one contiguous row; a class is a strided column.  Counts are
-# Python ints for the scalar arithmetic and a float64 vector for the
-# response per_cs.dot(counts): the same BLAS mat-vec as per_cs @ counts,
-# without the integer cast or the matmul dispatch.  A class violates iff its
-# relative excess (R - limit) / limit is > 0, so the argmax of that one
-# vector (argmin of the slack) both answers "any violation?" and picks the
-# class.
+# Python ints, handed to ufuncs as Python floats (an int scalar costs numpy
+# a slower conversion), and a float64 vector for the response
+# per_cs.dot(counts): the same BLAS mat-vec as per_cs @ counts, without the
+# integer cast or the matmul dispatch.  A class violates iff its relative
+# excess (R - limit) / limit is > 0, so the argmax of that one vector (argmin
+# of the slack, which is exactly its negation) both answers "any
+# violation?" and picks the class.
 
 def _acquire_phase(g, iteration_cap):
     """Add instances until every class meets its threshold; returns the
-    greedy iteration count."""
+    greedy iteration count and the class of least slack at the end."""
     td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
     cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
     gain = None
@@ -134,7 +135,7 @@ def _acquire_phase(g, iteration_cap):
         excess = per_class - limits
         excess /= limits
         b = int(excess.argmax())
-        if not excess[b] > 0:
+        if not excess.item(b) > 0:
             break
         iters += 1
         if iters > iteration_cap:
@@ -147,19 +148,21 @@ def _acquire_phase(g, iteration_cap):
         j = int(gain[:, b].argmax())
         n = cnt[j] = cnt[j] + 1
         fcounts[j] = n
-        nxt = td[j] * (n + 1)
+        row = td[j]
+        nxt = row * float(n + 1)
         nxt /= n + 1 - fl[j]
         np.subtract(more[j], nxt, out=gain[j])
         more[j] = nxt
-        np.divide(td[j], n - fl[j], out=per_cs[:, j])
+        np.divide(row, n - fl[j], out=per_cs[:, j])
         per_class = per_cs.dot(fcounts)
     g.per_class = per_class
-    return iters
+    return iters, b
 
 
-def _release_phase(g, iteration_cap):
-    """Remove instances while every threshold holds; returns the iteration
-    count.  The caller guarantees the tables' counts meet the thresholds."""
+def _release_phase(g, d, iteration_cap):
+    """Remove instances while every threshold holds, starting from the class
+    d of least slack; returns the iteration count.  The caller guarantees
+    the tables' counts meet the thresholds."""
     td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
     cnt, fcounts, per_cs, per_class = g.cnt, g.fcounts, g.per_cs, g.per_class
     # Candidates must stay strictly above the capacity floor after removal.
@@ -169,14 +172,14 @@ def _release_phase(g, iteration_cap):
     left = int(np.count_nonzero(candidates))
     if not left:
         return 0
-    d = int(((limits - per_class) / limits).argmin())
-    # Terms at the current counts and at one fewer instance (+inf: no
-    # candidate), the latter as _terms writes them, on the candidates only.
+    # Terms at the current counts and at one fewer instance (+inf: not a
+    # candidate, or no longer one), the latter as _terms writes them.
     terms = _terms(td, fcounts, floor)
     fewer = np.full_like(terms, np.inf)
     np.divide(td * less[:, np.newaxis], room[:, np.newaxis], out=fewer,
               where=candidates[:, np.newaxis])
-    scale = _EPS8 * len(cnt)
+    stations = len(cnt)
+    scale = _EPS8 * stations
     reject_above = limits * (1.0 + MARGIN)
     moved = True
     iters = 0
@@ -185,57 +188,68 @@ def _release_phase(g, iteration_cap):
         if iters > iteration_cap:
             raise IterationCap("release exceeded %d iterations" % iteration_cap)
         if moved:
-            # Class d, its marginals and its response sum change only when a
-            # removal is accepted; a rejection just drops one marginal.
+            # Class d, its marginals and its response change only when a
+            # removal is accepted.  per_class[d] * (1 + MARGIN) bounds class
+            # d's exact response sum from above: both add the same
+            # non-negative terms, as in the argument for MARGIN.
             cost = fewer[:, d] - terms[:, d]
-            total = float(np.add.reduce(terms[:, d]))
+            bound = per_class.item(d) * (1.0 + MARGIN)
             moved = False
         j = int(cost.argmin())
-        cj = float(cost[j])
-        # Marginals within rounding of the minimum are re-ranked on class d's
-        # exact response sums; argmin keeps the first minimum in index order.
-        close = cost <= cj + scale * (total + abs(cj))
-        if np.count_nonzero(close) > 1:
-            near = np.flatnonzero(close)
-            rows = np.repeat(terms[np.newaxis, :, d], near.size, axis=0)
-            rows[np.arange(near.size), near] = fewer[near, d]
-            j = int(near[np.argmin(rows.sum(axis=1))])
+        cj = cost.item(j)
+        # Marginals within rounding of the minimum (8 * K ulps of the bound)
+        # are re-ranked on class d's exact response sums; argmin keeps the
+        # first minimum in index order.  A marginal outside the window has a
+        # larger sum, so re-ranking only when the runner-up is inside it
+        # picks what a re-rank of every candidate would.
+        cost[j] = np.inf
+        runner_up = cost.item(cost.argmin())
+        cost[j] = cj
+        window = cj + scale * (bound + abs(cj))
+        if runner_up <= window:
+            near = np.flatnonzero(cost <= window)
+            sums = np.repeat(terms[np.newaxis, :, d], near.size, axis=0)
+            sums[np.arange(near.size), near] = fewer[near, d]
+            j = int(near[np.argmin(sums.sum(axis=1))])
         # The exact trial: remove one instance at j and recompute every class.
-        n, f = cnt[j] - 1, fl[j]
-        col = per_cs[:, j]
-        np.divide(td[j], n - f, out=col)
+        n, f, row, col = cnt[j] - 1, fl[j], td[j], per_cs[:, j]
+        np.divide(row, n - f, out=col)
         fcounts[j] = n
         trial = per_cs.dot(fcounts)
         slack = limits - trial
         slack /= limits
         m = int(slack.argmin())
-        if slack[m] >= 0:
+        if slack.item(m) >= 0:
             per_class, cnt[j], d, moved = trial, n, m, True
-            terms[j] = fewer[j]
+            nxt = fewer[j]
+            terms[j] = nxt
             if n - 1 > f:
-                row = fewer[j]
-                np.multiply(td[j], n - 1, out=row)
-                row /= n - 1 - f
-                continue
-        else:
-            fcounts[j] = n + 1
-            np.divide(td[j], n + 1 - f, out=col)
-        # Rejected or at its floor.  Increments are additive, so a rejected
-        # station can never be shrunk later either.
-        left -= 1
+                np.multiply(row, float(n - 1), out=nxt)
+                nxt /= n - 1 - f
+            else:
+                # At its floor: no longer a candidate.
+                left -= 1
+                nxt.fill(np.inf)
+            continue
+        fcounts[j] = n + 1
+        np.divide(row, n + 1 - f, out=col)
+        # Rejected, so the state stands.  Responses only grow as instances
+        # go, so every candidate the tables call doomed (table response
+        # above limits * (1 + MARGIN)) would be rejected too, one iteration
+        # each, whatever is accepted first: drop them all now.  Increments
+        # are additive, so j, rejected, can never be shrunk later either.
+        # Rows off the candidates are +inf, so doomed as well.
         fewer[j] = np.inf
-        cost[j] = np.inf
-        if not moved and left:
-            # After a rejection per_class stays as it is until a removal is
-            # accepted, so once every candidate left is doomed, each is
-            # rejected in turn, one iteration each.  (fewer is +inf off the
-            # candidates, which count as doomed.)
-            grown = per_class - terms + fewer
-            if np.count_nonzero((grown > reject_above).any(axis=1)) == len(cnt):
-                iters += left
-                if iters > iteration_cap:
-                    raise IterationCap("release exceeded %d iterations" % iteration_cap)
-                break
+        grown = per_class - terms
+        grown += fewer
+        doomed = np.flatnonzero((grown > reject_above).any(axis=1))
+        live = stations - doomed.size
+        iters += left - 1 - live
+        if iters > iteration_cap:
+            raise IterationCap("release exceeded %d iterations" % iteration_cap)
+        left = live
+        fewer[doomed] = np.inf
+        cost[doomed] = np.inf
     g.per_class = per_class
     return iters
 
@@ -250,7 +264,7 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     Returns (configuration, greedy iteration count).
     """
     g = _acquire_start(base, sla)
-    iters = _acquire_phase(g, iteration_cap)
+    iters, _ = _acquire_phase(g, iteration_cap)
     return g.configuration(), iters
 
 
@@ -262,8 +276,8 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     breaking capacity or a threshold.
 
     Each iteration tries the cheapest removal for the least-slack class by
-    the exact trial.  Only after a rejection are the tables consulted: once
-    every candidate left is doomed, the rest are rejected in one step.
+    the exact trial.  Only after a rejection are the tables consulted: every
+    candidate they call doomed is dropped at once, one iteration each.
     """
     if sla.num_classes != base.num_classes:
         raise ValueError("threshold vector length does not match C")
@@ -273,7 +287,8 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     if not np.count_nonzero(counts - 1 > capacity_floor(base)):
         return base.ref_config, 0
     g = _Greedy(base, sla, counts)
-    iters = _release_phase(g, iteration_cap)
+    d = int(((sla.max_response - g.per_class) / sla.max_response).argmin())
+    iters = _release_phase(g, d, iteration_cap)
     return g.configuration(), iters
 
 
@@ -283,8 +298,8 @@ def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     final residence table and response, bit for bit what predict_response
     gives at the released configuration."""
     g = _acquire_start(base, sla)
-    acq_iters = _acquire_phase(g, iteration_cap)
-    rel_iters = _release_phase(g, iteration_cap)
+    acq_iters, d = _acquire_phase(g, iteration_cap)
+    rel_iters = _release_phase(g, d, iteration_cap)
     rt = ResponseTimes(g.per_class, g.per_cs)
     feasible = np.count_nonzero(g.per_class <= sla.max_response) == sla.num_classes
     return PlanOutcome(g.configuration(), acq_iters, rel_iters, rt, feasible)

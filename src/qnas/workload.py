@@ -115,8 +115,10 @@ def gen_arrival_series(law, horizon, seed):
 
 def default_thresholds(demands, multiplier):
     """Thresholds set to `multiplier` times each class's asymptotic response
-    floor at the single-instance reference; attainable for multiplier > 1."""
+    floor at the single-instance reference; attainable for multiplier > 1.
+    Raw demands are checked as a DemandMatrix."""
     if not multiplier > 1:
         raise ValueError("multiplier must be > 1")
-    d = demands.demands if isinstance(demands, DemandMatrix) else np.asarray(demands, dtype=float)
-    return SlaThresholds(multiplier * d.sum(axis=1))
+    if not isinstance(demands, DemandMatrix):
+        demands = DemandMatrix(demands)
+    return SlaThresholds(multiplier * demands.demands.sum(axis=1))

@@ -11,9 +11,11 @@ from qnas.model import (
     make_snapshot,
     predict_response,
     rescale_snapshot,
+    residence_table,
 )
 from qnas.planner import (
     DEFAULT_ITERATION_CAP,
+    MARGIN,
     PlanOutcome,
     SlaThresholds,
     acquire,
@@ -431,6 +433,112 @@ class TestEquivalence:
         cfg, iters = release(rebased, SlaThresholds([4.5, 5.0]))
         np.testing.assert_array_equal(cfg.counts, [2, 1, 3])
         assert iters == 3
+
+
+def blocked_fixture(duplicate=False):
+    """Two classes; class 0 has the least slack.  Stations 0 and 2 are its
+    cheapest removals, but class 1 loads both heavily, so removing either
+    breaks class 1's threshold; station 1 only class 0 uses, and one
+    removal there fits.  With duplicate, station 3 copies station 2's
+    column and count, so it ties station 2 bit for bit."""
+    cols = [0, 1, 2, 2] if duplicate else [0, 1, 2]
+    demands = np.array([[0.01, 0.1, 0.0075], [0.5, 0.0, 0.5]])[:, cols]
+    base = make_snapshot(np.array([2, 5, 2, 2])[cols], [1.0, 0.5], demands)
+    return base, SlaThresholds([0.64, 4.4] if duplicate else [0.62, 3.0])
+
+
+class TestReleaseDrops:
+    """A rejected trial drops every candidate the tables call doomed, one
+    iteration each; counts, iterations and every cap match the reference."""
+
+    @staticmethod
+    def removal_responses(base):
+        counts = base.ref_config.counts
+        out = []
+        for j in range(base.num_stations):
+            fewer = counts.copy()
+            fewer[j] -= 1
+            out.append(predict_response(base, fewer).per_class)
+        return np.array(out)
+
+    def test_drop_mid_release(self):
+        # The first trial, station 2, is rejected; station 0 is doomed and
+        # dropped with it, station 1 stays live and is then accepted once.
+        base, sla = blocked_fixture()
+        limits = sla.max_response
+        rt = predict_response(base, base.ref_config).per_class
+        slack = (limits - rt) / limits
+        assert int(np.argmin(slack)) == 0
+        grown = self.removal_responses(base)
+        assert np.all(grown[[0, 2], 1] > limits[1] * 1.01)
+        assert np.all(grown[1] <= limits)
+        cfg, iters = release(base, sla)
+        np.testing.assert_array_equal(cfg.counts, [2, 4, 2])
+        assert iters == 4  # reject 2, drop 0, accept 1, reject 1
+        TestEquivalence.check_caps(release, reference_release, base, sla)
+
+    def test_doomed_twin_in_tie_window(self):
+        # Stations 2 and 3 tie on class 0's marginal; the trial at 2 is
+        # rejected, and its twin 3, doomed, is dropped without a trial.
+        base, sla = blocked_fixture(duplicate=True)
+        total_d = base.total_demands()
+        np.testing.assert_array_equal(total_d[:, 2], total_d[:, 3])
+        grown = self.removal_responses(base)
+        assert np.all(grown[[0, 2, 3], 1] > sla.max_response[1] * 1.01)
+        cfg, iters = release(base, sla)
+        np.testing.assert_array_equal(cfg.counts, [2, 4, 2, 2])
+        assert iters == 5
+        TestEquivalence.check_caps(release, reference_release, base, sla)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_violating_reference_unchanged(self, duplicate):
+        # A reference that already breaks a threshold: every removal only
+        # makes it worse, so each candidate costs one iteration and the
+        # counts come back as they were.
+        base, sla = blocked_fixture(duplicate)
+        sla = SlaThresholds(sla.max_response * [0.95, 1.0])
+        assert np.any(predict_response(base, base.ref_config).per_class > sla.max_response)
+        cfg, iters = release(base, sla)
+        np.testing.assert_array_equal(cfg.counts, base.ref_config.counts)
+        assert iters == base.num_stations
+        TestEquivalence.check_caps(release, reference_release, base, sla)
+
+
+class TestTieBound:
+    """release sizes its tie window by per_class[d] * (1 + MARGIN) instead
+    of class d's exact response sum.  The window then holds every marginal
+    the exact one would only if the bound holds at every state release
+    visits: every configuration the reference planner evaluates on its way
+    (accepted states and rejected trials), for every class."""
+
+    @pytest.mark.parametrize("make_base, seed", [(random_baseline, 83),
+                                                 (duplicated_baseline, 89)])
+    def test_bound_holds_on_release_path(self, make_base, seed, monkeypatch):
+        seen, predict = [], predict_response
+
+        def recording(base, target):
+            seen.append(target.counts)
+            return predict(base, target)
+
+        monkeypatch.setitem(globals(), "predict_response", recording)
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(60):
+            base = make_base(rng)
+            floors = base.total_demands().sum(axis=1)
+            sla = SlaThresholds(floors * rng.uniform(1.02, 3.0, size=base.num_classes))
+            start = counts_above(capacity_floor(base)) + rng.integers(0, 6, size=base.num_stations)
+            rebased = rescale_snapshot(base, start)
+            seen.clear()
+            reference_release(rebased, sla)
+            total_d, floor = rebased.total_demands(), capacity_floor(rebased)
+            for counts in seen:
+                per_class = residence_table(total_d, floor, counts).dot(counts.astype(float))
+                for d in range(rebased.num_classes):
+                    exact = np.add.reduce(_class_response_terms(total_d[d], floor, counts))
+                    assert exact <= per_class[d] * (1.0 + MARGIN)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestAcceptanceFixtureOptimality:

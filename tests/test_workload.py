@@ -97,3 +97,11 @@ class TestDefaultThresholds:
     def test_multiplier_must_exceed_one(self):
         with pytest.raises(ValueError):
             default_thresholds(DEMO_DEMANDS, 1.0)
+
+    def test_raw_demands_checked(self):
+        # Raw input gets the DemandMatrix checks: a negative demand and a
+        # 1-D vector both raise its named ValueError.
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            default_thresholds([[-1.0, 2.0]], 2.0)
+        with pytest.raises(ValueError, match="C x K matrix"):
+            default_thresholds([0.5, 1.5], 2.0)
