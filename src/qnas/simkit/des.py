@@ -257,7 +257,7 @@ def busy_time(fcfs_dep, services, warmup, run_length):
                   - np.clip(fcfs_dep - services, warmup, run_length)).sum())
 
 
-def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed):
+def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed, batches):
     """Simulate the feed-forward network over [0, run_length].
 
     rates         : (C,) Poisson arrival rate per class
@@ -266,25 +266,33 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed)
     counts        : (K,) instances per station
     discipline    : PS or FCFS
     seed          : any non-negative integer, for np.random.default_rng
+    batches       : number of batch means per statistic (at least 2)
 
     Returns
-      completions : per class, (response, time) of every job that leaves the
-                    network by run_length
-      visits      : visits[c][k] is (residence, departure time) of every
-                    visit of class c to station k that ends by run_length,
-                    None where class c skips station k
-      busy        : (I,) busy time of each instance inside [warmup, run_length]
-      visits_ci   : (C, I) arrivals of class c at instance i inside
-                    [warmup, run_length]
+      completions  : per class, (response, time) of every job that leaves the
+                     network by run_length
+      residence    : (C, K) batch-means residence per visit of class c to
+                     station k, over the visits that end inside
+                     [warmup, run_length]; NaN where class c skips station k
+      residence_hw : (C, K) its 95% half-width
+      departures   : (C, K) visits of class c to station k that end by
+                     run_length, warmup included
+      busy         : (I,) busy time of each instance inside [warmup, run_length]
+      visits_ci    : (C, I) arrivals of class c at instance i inside
+                     [warmup, run_length]
     A job still in the network at run_length leaves no completion record.
-    Every record array is sized by the jobs it holds, so none is capped.
+    Each station's visits are reduced to batch statistics as soon as its
+    departures are known, so memory holds one station's working arrays and
+    the jobs still in the network, not a record of every visit.
     """
     rng = np.random.default_rng(seed)
     C, K = service_means.shape
     offsets = np.concatenate(([0], np.cumsum(counts)))
     busy = np.zeros(offsets[-1])
     visits_ci = np.zeros((C, offsets[-1]), dtype=np.int64)
-    visits = [[None] * K for _ in range(C)]
+    residence = np.full((C, K), np.nan)
+    residence_hw = np.full((C, K), np.nan)
+    departures = np.zeros((C, K), dtype=np.int64)
     # start[c]: external arrival time of each class-c job still in the
     # network; at[c]: the time it reaches its next station, or leaves.
     start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
@@ -322,19 +330,24 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed)
         # arrivals.
         dep = a
         dep[order] = s if discipline == FCFS else ps_departures(a, s, fresh)
-        del a, s, fresh
+        del a, s, fresh, order, bounds, fcfs
         lo = 0
         for c in users:
             hi = lo + at[c].size
             d_c = dep[lo:hi]
             done = d_c <= run_length
             left = d_c[done]
-            visits[c][k] = (left - at[c][done], left)
+            stay = left - at[c][done]
+            keep = left >= warmup
+            residence[c, k], residence_hw[c, k] = _batch_stats(
+                stay[keep], left[keep], warmup, run_length, batches)
+            departures[c, k] = left.size
             start[c] = start[c][done]
             at[c] = left
             lo = hi
+        del dep, d_c, done, stay, keep
     completions = [(at[c] - start[c], at[c]) for c in range(C)]
-    return completions, visits, busy, visits_ci
+    return completions, residence, residence_hw, departures, busy, visits_ci
 
 
 @functools.cache
@@ -387,8 +400,8 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     analytic predictions.
 
     `seed` may be any non-negative integer, such as the 63-bit values of
-    `subseed`; it seeds np.random.default_rng as given.  A negative seed
-    raises ValueError.
+    `subseed`, or a whole float; it seeds np.random.default_rng as given.
+    A negative, fractional or non-finite seed raises ValueError.
     """
     config = _target(base, config)
     if discipline not in DISCIPLINES:
@@ -400,19 +413,21 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
         raise ValueError("warmup fraction must lie in [0, 1)")
     if not (isinstance(batches, numbers.Integral) and batches >= 2):
         raise ValueError("batches must be an integer >= 2, got %r" % (batches,))
+    # A whole float is its integer; a fractional or non-finite one is not.
+    if not (isinstance(seed, numbers.Integral)
+            or isinstance(seed, numbers.Real) and float(seed).is_integer()) or seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % (seed,))
     seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer, got %d" % seed)
     total_d = base.total_demands()
     # Raises InfeasibleConfiguration at or below the floor.
     residence_table(total_d, capacity_floor(base), config.counts)
     C, K = total_d.shape
     counts = config.counts
     warmup = warmup_fraction * run_length
-    completions_rec, visits, busy, visits_ci = des_loop(
+    completions_rec, residence, residence_hw, _, busy, visits_ci = des_loop(
         base.rates.rates.astype(np.float64), total_d.astype(np.float64),
         counts.astype(np.int64), DISCIPLINES[discipline], float(run_length),
-        float(warmup), seed)
+        float(warmup), seed, batches)
 
     response = np.full(C, np.nan)
     response_hw = np.full(C, np.nan)
@@ -422,17 +437,6 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
         completions[c] = int(keep.sum())
         response[c], response_hw[c] = _batch_stats(
             resp[keep], time[keep], warmup, run_length, batches)
-
-    residence = np.full((C, K), np.nan)
-    residence_hw = np.full((C, K), np.nan)
-    for c in range(C):
-        for k in range(K):
-            if visits[c][k] is None:
-                continue
-            res, time = visits[c][k]
-            keep = time >= warmup
-            residence[c, k], residence_hw[c, k] = _batch_stats(
-                res[keep], time[keep], warmup, run_length, batches)
 
     window = run_length - warmup
     util_inst = busy / window

@@ -1,5 +1,7 @@
+import hashlib
 import heapq
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             des_validate(base, [1], "ps", run_length=1e3, seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.7, np.float64(0.5), np.nan, np.inf, -2.0, "3"])
+    def test_bad_seed_named(self, seed):
+        # 2.7 must not run as seed 2, and NaN must not reach numpy unnamed.
+        base = make_snapshot([1], [0.5], [[1.0]])
+        with pytest.raises(ValueError, match="seed"):
+            des_validate(base, [1], "ps", run_length=100.0, seed=seed)
+
+    def test_integer_seed_types(self):
+        # Python and numpy integers and whole floats name the same stream.
+        base = make_snapshot([1], [0.5], [[1.0]])
+        want = des_validate(base, [1], "ps", run_length=1e3, seed=3).response
+        for seed in (np.int64(3), np.uint8(3), 3.0, np.float64(3.0)):
+            got = des_validate(base, [1], "ps", run_length=1e3, seed=seed).response
+            np.testing.assert_array_equal(got, want)
+        wide = subseed(2, "des")
+        np.testing.assert_array_equal(
+            des_validate(base, [1], "ps", run_length=1e3, seed=np.uint64(wide)).response,
+            des_validate(base, [1], "ps", run_length=1e3, seed=wide).response)
+
     def test_confidence_halfwidths_positive(self):
         base = make_snapshot([1], [0.5], [[1.0]])
         r = des_validate(base, [1], "ps", run_length=1e4, seed=4)
@@ -250,7 +271,7 @@ class TestKernel:
     def test_conservation(self, discipline):
         # Two used stations near saturation over a short run, so jobs are
         # still queued at run_length.  With no warmup, visits_ci counts every
-        # arrival at an instance and the visit records every departure, so
+        # arrival at an instance and `departures` every visit that ends, so
         # the jobs in the network at run_length are the arrivals minus the
         # departures, summed over stations.
         rates = np.array([0.6, 0.3])
@@ -259,18 +280,17 @@ class TestKernel:
         stations = {0: slice(0, 2), 2: slice(3, 4)}
         queued = 0
         for seed in range(5):
-            completions, visits, busy, visits_ci = des.des_loop(
-                rates, means, counts, discipline, 200.0, 0.0, seed)
+            completions, residence, _, departures, busy, visits_ci = des.des_loop(
+                rates, means, counts, discipline, 200.0, 0.0, seed, 10)
             assert np.all(busy <= 200.0) and np.all(visits_ci[:, 2] == 0)
             for c in range(2):
-                assert visits[c][1] is None
+                assert departures[c, 1] == 0 and np.isnan(residence[c, 1])
                 arrived = visits_ci[c, stations[0]].sum()
-                passed_on = visits[c][0][0].size
                 # Every departure from station 0 by run_length arrives at
                 # station 2, and every departure from station 2 completes.
-                assert visits_ci[c, stations[2]].sum() == passed_on
-                assert completions[c][0].size == visits[c][2][0].size
-                held = [visits_ci[c, sl].sum() - visits[c][k][0].size
+                assert visits_ci[c, stations[2]].sum() == departures[c, 0]
+                assert completions[c][0].size == departures[c, 2]
+                held = [visits_ci[c, sl].sum() - departures[c, k]
                         for k, sl in stations.items()]
                 assert min(held) >= 0
                 in_network = sum(held)
@@ -376,6 +396,12 @@ class TestPsKernel:
         _assert_matches_reference(a, s)
 
 
+def _demo_base():
+    path = Path(__file__).resolve().parent.parent / "configs" / "validate_demo.json"
+    cfg = json.loads(path.read_text())
+    return make_snapshot(cfg["ref_config"], cfg["rates"], cfg["demands"])
+
+
 class TestPinned:
     def test_demo_matches_heap_kernel(self):
         # Per-class completions and responses of the demo at [2, 1, 2] under
@@ -386,10 +412,43 @@ class TestPinned:
             2: ([95813, 47972], [4.951629010865084, 3.913607896717438]),
             3: ([95398, 48255], [4.962221819797595, 3.9772000300813146]),
         }
-        path = Path(__file__).resolve().parent.parent / "configs" / "validate_demo.json"
-        cfg = json.loads(path.read_text())
-        base = make_snapshot(cfg["ref_config"], cfg["rates"], cfg["demands"])
+        base = _demo_base()
         for seed, (completions, response) in pinned.items():
             r = des_validate(base, [2, 1, 2], "ps", run_length=6e4, seed=seed)
             np.testing.assert_array_equal(r.completions, completions)
             np.testing.assert_allclose(r.response, response, rtol=1e-9)
+
+    def test_demo_other_fields(self):
+        # One sha256 over the float64 bytes of every other measured field of
+        # the demo at [2, 1, 2], seeds 0-3, PS then FCFS, taken before the
+        # visit statistics were reduced inside des_loop.
+        fields = ("response_hw", "residence", "residence_hw", "utilization",
+                  "utilization_per_instance", "visit_rates")
+        digest = hashlib.sha256()
+        base = _demo_base()
+        for seed in range(4):
+            for discipline in ("ps", "fcfs"):
+                r = des_validate(base, [2, 1, 2], discipline, run_length=6e4, seed=seed)
+                for field in fields:
+                    digest.update(np.ascontiguousarray(getattr(r, field), dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "1f120306091f67c25cfeb0a62559a4063cab214aed6b1a5566281c4b609d9e82")
+
+
+class TestMemory:
+    # Peak traced memory of one des_validate on the demo at [2, 1, 2], run
+    # length 6e4, seed 0.  numpy reports its buffers to tracemalloc, so the
+    # peak repeats exactly for one numpy version: with numpy 2.4.6 it is
+    # 12.6 MiB under PS and 9.6 MiB under FCFS, against 16.9 and 14.3 MiB
+    # when every visit record was kept until des_validate reduced it.
+    @pytest.mark.parametrize("discipline, limit_mib", [("ps", 15), ("fcfs", 12)])
+    def test_peak_holds_one_station(self, discipline, limit_mib):
+        base = _demo_base()
+        des_validate(base, [2, 1, 2], discipline, run_length=100.0, seed=0)
+        tracemalloc.start()
+        try:
+            des_validate(base, [2, 1, 2], discipline, run_length=6e4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
