@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ from qnas.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNATTAINABLE, main
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_CONFIG = os.path.join(REPO, "configs", "demo.json")
 VALIDATE_CONFIG = os.path.join(REPO, "configs", "validate_demo.json")
+NOISY_SWEEP_CONFIG = os.path.join(REPO, "configs", "noisy_sweep.json")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -244,6 +246,35 @@ class TestSweep:
         assert rc == EXIT_OK
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 4
+
+
+# sha256 of each CLI output file.  The scenario settings flow into these
+# bytes: the default workload law, the Poisson window and the noise seeds.
+POISSON_CONFIG = {"C": 3, "K": 4, "horizon": 10, "master_seed": 5,
+                  "poisson_arrivals": True, "window": 20}
+OUTPUT_DIGESTS = {
+    "demo": ("run", DEMO_CONFIG, {
+        "timeseries.csv": "3ccab015a32ac42a0f479d90a6c5af8e28a9dee4b26f4f2c9d7a9305dab7cb6d",
+        "summary.csv": "fa82b12342c725ed663c5723861773a974e362a34c32bba49e9b4a8ec3e53304"}),
+    "poisson": ("run", POISSON_CONFIG, {
+        "timeseries.csv": "1d10439a64d82f9a9853277ad58d56781cc4b0090872d549f4be37b020b7eb62",
+        "summary.csv": "34ed4ad10e989ae289b84317d240144f7358e2fefa49fecdffeeeee93bec8e65"}),
+    "noisy-sweep": ("sweep", NOISY_SWEEP_CONFIG, {
+        "sweep.csv": "f9406ff07b7451795e4be391596521b0114f6364ba60e5159c496d88756e0a5b"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned(tmp_path, name):
+    command, config, digests = OUTPUT_DIGESTS[name]
+    if isinstance(config, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        config = str(path)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
+    for filename, expected in digests.items():
+        assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == expected, filename
 
 
 class TestValidate:
