@@ -22,7 +22,7 @@ from .model import Configuration, DemandMatrix, make_snapshot, predict_response
 from .planner import SlaThresholds
 from .simkit import ScenarioSpec, des_validate, run_scenario, subseed
 from .simkit.des import DISCIPLINES, PS
-from .telemetry import NoiseSpec
+from .telemetry import NO_NOISE, NoiseSpec
 from .workload import WorkloadLaw
 
 log = logging.getLogger("qnas")
@@ -65,12 +65,26 @@ def _require(cfg, key, kind=None):
 
 
 def _whole(value, key):
-    """int(value), but a fractional number is a ConfigError where int()
-    would truncate it; whole-valued floats are accepted, as in
-    Configuration."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) for a whole JSON number; whole-valued floats are accepted,
+    as in Configuration.  A fraction, which int() would truncate, and a
+    boolean or string, which it would convert, are ConfigErrors."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError("%s must be a whole number, got %r" % (key, value))
     return int(value)
+
+
+def _reject_bools(value, key):
+    """A JSON true/false where a number is expected is a ConfigError:
+    float() and numpy would read it as 1/0."""
+    if isinstance(value, bool):
+        raise ConfigError("%s must not be true or false" % key)
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _reject_bools(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _reject_bools(v, key)
 
 
 def _master_seed(args, cfg):
@@ -97,10 +111,8 @@ _SCENARIO_KEYS = {
     "C", "K", "horizon", "window", "master_seed", "workload", "demands",
     "sla", "noise", "initial_config", "poisson_arrivals", "out_dir",
 }
-_WORKLOAD_KEYS = {
-    "base_rate", "amplitude", "perturbation_sd", "perturbation_persistence",
-    "base_rates", "amplitudes", "periods", "phases",
-}
+_WORKLOAD_KEYS = {"base_rates", "amplitudes", "periods", "phases",
+                  "perturbation_sd", "perturbation_persistence"}
 _SLA_KEYS = {"multiplier", "max_response"}
 _NOISE_KEYS = {"mode", "relative_sd", "seed"}
 
@@ -116,15 +128,12 @@ def _vector(cfg, key, C, default=None):
 
 def _parse_workload(cfg, C, horizon):
     _check_keys(cfg, _WORKLOAD_KEYS, "workload")
-    explicit = {"base_rates", "amplitudes", "periods", "phases"} & set(cfg)
-    if explicit:
-        return WorkloadLaw(_vector(cfg, "base_rates", C),
-                           _vector(cfg, "amplitudes", C, 0.0),
-                           _vector(cfg, "periods", C, float(horizon)),
-                           _vector(cfg, "phases", C, 0.0),
-                           float(cfg.get("perturbation_sd", 0.0)),
-                           float(cfg.get("perturbation_persistence", 0.0)))
-    return None  # harness builds the default law from scalar knobs
+    return WorkloadLaw(_vector(cfg, "base_rates", C),
+                       _vector(cfg, "amplitudes", C, 0.0),
+                       _vector(cfg, "periods", C, float(horizon)),
+                       _vector(cfg, "phases", C, 0.0),
+                       float(cfg.get("perturbation_sd", 0.0)),
+                       float(cfg.get("perturbation_persistence", 0.0)))
 
 
 def _parse_scenario(cfg):
@@ -138,28 +147,24 @@ def _parse_scenario(cfg):
 
 def _scenario_kwargs(cfg):
     _check_keys(cfg, _SCENARIO_KEYS, "config")
-    C = int(_require(cfg, "C", int))
-    K = int(_require(cfg, "K", int))
-    horizon = int(_require(cfg, "horizon", int))
     poisson = cfg.get("poisson_arrivals", False)
     if not isinstance(poisson, bool):
         raise ConfigError("poisson_arrivals must be true or false")
+    _reject_bools({k: v for k, v in cfg.items() if k != "poisson_arrivals"}, "config")
+    C = _whole(_require(cfg, "C"), "C")
+    K = _whole(_require(cfg, "K"), "K")
+    horizon = _whole(_require(cfg, "horizon"), "horizon")
+    if "window" in cfg and not poisson:
+        raise ConfigError('window needs "poisson_arrivals": true')
     kwargs = dict(
         num_classes=C,
         num_stations=K,
         horizon=horizon,
-        window=float(_defaulted(cfg, "window", 1.0)),
         master_seed=_whole(_defaulted(cfg, "master_seed", 0), "master_seed"),
-        poisson_arrivals=poisson,
+        poisson_window=float(_defaulted(cfg, "window", 1.0)) if poisson else None,
     )
-    wl_cfg = cfg.get("workload", {})
-    law = _parse_workload(wl_cfg, C, horizon)
-    if law is not None:
-        kwargs["workload"] = law
-    else:
-        for key in ("base_rate", "amplitude", "perturbation_sd", "perturbation_persistence"):
-            if key in wl_cfg:
-                kwargs[key] = float(wl_cfg[key])
+    if cfg.get("workload"):
+        kwargs["workload"] = _parse_workload(cfg["workload"], C, horizon)
     if "demands" in cfg:
         kwargs["demands"] = DemandMatrix(cfg["demands"])
     sla_cfg = cfg.get("sla", {})
@@ -170,15 +175,16 @@ def _scenario_kwargs(cfg):
         kwargs["sla_multiplier"] = float(_defaulted(sla_cfg, "multiplier", 2.0))
     noise_cfg = cfg.get("noise", {})
     _check_keys(noise_cfg, _NOISE_KEYS, "noise")
+    mode = noise_cfg.get("mode", "none")
+    if mode not in ("none", "sampled"):
+        raise ConfigError("noise mode must be 'none' or 'sampled'")
     relative_sd = float(noise_cfg.get("relative_sd", 0.0))
     if relative_sd > 0 and "mode" not in noise_cfg:
         raise ConfigError('noise: relative_sd > 0 needs "mode": "sampled" '
                           '(or "mode": "none" to switch noise off)')
-    kwargs["noise"] = NoiseSpec(
-        mode=noise_cfg.get("mode", "none"),
-        relative_sd=relative_sd,
-        seed=_whole(noise_cfg.get("seed", 0), "noise seed"),
-    )
+    # Built before "none" switches it off, so its values are checked either way.
+    noise = NoiseSpec(relative_sd, _whole(noise_cfg.get("seed", 0), "noise seed"))
+    kwargs["noise"] = noise if mode == "sampled" else NO_NOISE
     if "initial_config" in cfg:
         kwargs["initial_config"] = Configuration(cfg["initial_config"])
     return kwargs
@@ -303,6 +309,7 @@ _VALIDATE_KEYS = {"rates", "demands", "ref_config", "targets", "disciplines",
 def cmd_validate(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, _VALIDATE_KEYS, "validate config")
+    _reject_bools(cfg, "validate config")
     try:
         rates = np.asarray(_require(cfg, "rates", list), dtype=float)
         demands = np.asarray(_require(cfg, "demands", list), dtype=float)

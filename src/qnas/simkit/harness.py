@@ -38,7 +38,6 @@ class ScenarioSpec:
     num_classes: int
     num_stations: int
     horizon: int
-    window: float = 1.0
     master_seed: int = 0
     workload: Optional[WorkloadLaw] = None      # default_law if None
     demands: Optional[DemandMatrix] = None      # drawn from DemandLaw if None
@@ -46,11 +45,7 @@ class ScenarioSpec:
     sla_multiplier: float = 2.0
     noise: NoiseSpec = NO_NOISE
     initial_config: Optional[Configuration] = None  # all-ones if None
-    poisson_arrivals: bool = False
-    base_rate: float = 1.5
-    amplitude: float = 0.8
-    perturbation_sd: float = 0.1
-    perturbation_persistence: float = 0.8
+    poisson_window: Optional[float] = None      # rates used as generated if None
 
     def __post_init__(self):
         if self.num_classes < 1 or self.num_stations < 1:
@@ -59,8 +54,8 @@ class ScenarioSpec:
             raise ValueError("horizon must be >= 1")
         # Out-of-range knobs fail here, not once the run has started; NaN
         # fails both bounds.
-        if not 0 < self.window < np.inf:
-            raise ValueError("window must be finite and > 0")
+        if self.poisson_window is not None and not 0 < self.poisson_window < np.inf:
+            raise ValueError("poisson_window must be finite and > 0")
         if self.sla is None and not 1 < self.sla_multiplier < np.inf:
             raise ValueError("sla_multiplier must be finite and > 1")
         C, K = self.num_classes, self.num_stations
@@ -72,9 +67,6 @@ class ScenarioSpec:
             raise ValueError("workload law must have %d classes" % C)
         if self.initial_config is not None and self.initial_config.num_stations != K:
             raise ValueError("initial_config must list %d counts" % K)
-        if self.workload is None:
-            default_law(self.num_classes, self.horizon, 0, self.base_rate, self.amplitude,
-                        self.perturbation_sd, self.perturbation_persistence)
 
 
 @dataclass(frozen=True)
@@ -146,10 +138,7 @@ def run_scenario(spec):
     law = spec.workload
     if law is None:
         law = default_law(spec.num_classes, spec.horizon,
-                          seed=subseed(spec.master_seed, "workload-law"),
-                          base_rate=spec.base_rate, amplitude=spec.amplitude,
-                          perturbation_sd=spec.perturbation_sd,
-                          perturbation_persistence=spec.perturbation_persistence)
+                          seed=subseed(spec.master_seed, "workload-law"))
     series = gen_arrival_series(law, spec.horizon, seed=subseed(spec.master_seed, "workload"))
     # Checked once here, so each step hands observe typed, read-only rates
     # that it takes as they are; Poisson draws are finite and >= 0 as drawn.
@@ -163,10 +152,10 @@ def run_scenario(spec):
     steps = []
     for t in range(spec.horizon):
         rates = series[t]
-        if spec.poisson_arrivals:
-            rates = _frozen(arr_rng.poisson(rates * spec.window) / spec.window)
+        if spec.poisson_window is not None:
+            rates = _frozen(arr_rng.poisson(rates * spec.poisson_window) / spec.poisson_window)
         arrivals = _trusted(ArrivalRates, rates=rates)
-        if noise.mode == "sampled":
+        if noise.relative_sd > 0:
             # spec.noise was checked when it was built; only the seed changes.
             noise = _trusted(NoiseSpec, **{**vars(spec.noise),
                                            "seed": subseed(spec.noise.seed, "step-%d" % t)})

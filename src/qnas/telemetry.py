@@ -18,15 +18,13 @@ UTIL_CLAMP = 1.0 - 1e-6
 @dataclass(frozen=True)
 class NoiseSpec:
     """Measurement-noise knob: multiplicative lognormal factors with median 1
-    applied to each measured residence time and utilization."""
+    applied to each measured residence time and utilization; noise is on
+    exactly when relative_sd > 0."""
 
-    mode: str = "none"
     relative_sd: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("none", "sampled"):
-            raise ValueError("noise mode must be 'none' or 'sampled'")
         # NaN fails both bounds.
         if not 0 <= self.relative_sd < np.inf:
             raise ValueError("relative_sd must be finite and >= 0")
@@ -62,7 +60,7 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
     # demands_cfg and util are this call's own arrays, so the rest works in
     # place; the operations and their order are those of D = R * (1 - U).
     resid = np.divide(demands_cfg, 1.0 - util, out=demands_cfg)
-    if noise.mode == "sampled" and noise.relative_sd > 0:
+    if noise.relative_sd > 0:
         rng = np.random.default_rng(noise.seed)
         sigma = np.sqrt(np.log1p(noise.relative_sd**2))
         resid *= rng.lognormal(0.0, sigma, size=resid.shape)

@@ -22,7 +22,10 @@ NAN, INF = float("nan"), float("inf")
 # config error before the scenario runs.
 BAD_SCENARIO_VALUES = {
     "amplitude-out-of-range": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [1.5, 0, 0]}},
-    "negative-base-rate": {"workload": {"base_rate": -1}},
+    "negative-base-rate": {"workload": {"base_rates": [-1, 1, 1]}},
+    # The default law takes no settings: a workload block is an explicit law.
+    "default-law-scalar": {"workload": {"base_rate": 2.0}},
+    "perturbation-without-law": {"workload": {"perturbation_sd": 0.2}},
     "short-amplitudes": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1, 0.1]}},
     "one-amplitude": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1]}},
     "short-max-response": {"sla": {"max_response": [5.0, 5.0]}},
@@ -31,24 +34,39 @@ BAD_SCENARIO_VALUES = {
     "no-stations": {"K": 0},
     "fractional-initial-config": {"initial_config": [1.9, 1, 1.5, 1]},
     "string-poisson-arrivals": {"poisson_arrivals": "false"},
+    "window-without-poisson": {"window": 20},
+    "fractional-horizon": {"horizon": 2.5},
     "fractional-noise-seed": {"noise": {"mode": "sampled", "relative_sd": 0.05, "seed": 3.7}},
     # JSON admits NaN and Infinity; each must fail before the run, not
     # switch its setting off or stop the run midway.
     "nan-relative-sd": {"noise": {"mode": "sampled", "relative_sd": NAN}},
     "inf-relative-sd": {"noise": {"mode": "sampled", "relative_sd": INF}},
-    "nan-perturbation-sd": {"workload": {"perturbation_sd": NAN}},
-    "nan-base-rate": {"workload": {"base_rate": NAN}},
+    "nan-perturbation-sd": {"workload": {"base_rates": [1, 1, 1], "perturbation_sd": NAN}},
+    "nan-base-rate": {"workload": {"base_rates": [NAN, 1, 1]}},
     "inf-base-rates": {"workload": {"base_rates": [INF, 1, 1]}},
     "nan-amplitude": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [NAN, 0, 0]}},
     "inf-period": {"workload": {"base_rates": [1, 1, 1], "periods": [INF, 3, 3]}},
     "nan-phase": {"workload": {"base_rates": [1, 1, 1], "phases": [NAN, 0, 0]}},
     "inf-multiplier": {"sla": {"multiplier": INF}},
-    "inf-window": {"window": INF},
+    "inf-window": {"window": INF, "poisson_arrivals": True},
     "nan-window-poisson": {"window": NAN, "poisson_arrivals": True},
+    # JSON true/false are not numbers, though int(), float() and numpy read
+    # them as 1/0.
+    "bool-horizon": {"horizon": True},
+    "bool-demands": {"demands": [[True, False, True, 0.5], [0.5] * 4, [0.5] * 4]},
+    "bool-base-rates": {"workload": {"base_rates": [True, 1, 1]}},
+    "bool-max-response": {"sla": {"max_response": [True, 5.0, 5.0]}},
+    "bool-initial-config": {"initial_config": [True, 1, 1, 1]},
+    "bool-relative-sd": {"noise": {"mode": "sampled", "relative_sd": True}},
+    "bool-noise-seed": {"noise": {"mode": "sampled", "relative_sd": 0.05, "seed": True}},
+    "bool-window": {"window": True, "poisson_arrivals": True},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
-BAD_RUN_VALUES = {**BAD_SCENARIO_VALUES, "fractional-master-seed": {"master_seed": 1.5}}
+# The same holds for C and K, which a sweep reads from its grid.
+BAD_RUN_VALUES = {**BAD_SCENARIO_VALUES, "fractional-master-seed": {"master_seed": 1.5},
+                  "bool-master-seed": {"master_seed": True}, "bool-C": {"C": True},
+                  "fractional-C": {"C": 2.7}, "string-K": {"K": "4"}}
 
 
 def bad_scenario(name):
@@ -204,7 +222,8 @@ class TestSweep:
         {"C_values": ["x"]}, {"K_values": [None]}, {"seeds": ["x"]}, {"master_seed": "x"},
         {"C_values": [2.7]}, {"K_values": [3.5]}, {"seeds": [0.9]}, {"master_seed": 1.5},
         # Listed seeds leave master_seed unused, but it is checked all the same.
-        {"seeds": [1], "master_seed": "x"}, {"seeds": [1], "master_seed": 1.5}])
+        {"seeds": [1], "master_seed": "x"}, {"seeds": [1], "master_seed": 1.5},
+        {"C_values": [True]}, {"seeds": [True]}, {"master_seed": False}])
     def test_malformed_grid(self, tmp_path, override):
         cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
         path = tmp_path / "sweep.json"
@@ -223,19 +242,25 @@ class TestSweep:
         assert "master_seed" not in caplog.text
 
     def test_whole_valued_floats(self, tmp_path):
-        # 2.0 means 2: the grid, seeds and noise seed written as floats give
-        # the same sweep as written as integers.
-        outputs = []
-        for num in (int, float):
-            cfg = {"C_values": [num(2)], "K_values": [num(3)], "seeds": [num(1)],
-                   "master_seed": num(4), "horizon": 3,
-                   "noise": {"mode": "sampled", "relative_sd": 0.05, "seed": num(5)}}
-            path = tmp_path / "sweep.json"
-            path.write_text(json.dumps(cfg))
-            out = tmp_path / num.__name__
-            assert main(["sweep", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-            outputs.append((out / "sweep.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        # 2.0 means 2: in a sweep and in a run, the grid, C, K, horizon, seeds
+        # and noise seed written as floats give the same outputs as written
+        # as integers.
+        for command in ("sweep", "run"):
+            outputs = []
+            for num in (int, float):
+                cfg = {"horizon": num(3), "master_seed": num(4),
+                       "noise": {"mode": "sampled", "relative_sd": 0.05, "seed": num(5)}}
+                if command == "sweep":
+                    cfg.update(C_values=[num(2)], K_values=[num(3)], seeds=[num(1)])
+                else:
+                    cfg.update(C=num(2), K=num(3))
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(cfg))
+                out = tmp_path / command / num.__name__
+                argv = [command, "--config", str(path), "--out", str(out), "--quiet"]
+                assert main(argv) == EXIT_OK
+                outputs.append(sorted((f.name, f.read_bytes()) for f in out.iterdir()))
+            assert outputs[0] == outputs[1]
 
     def test_small_grid_rows(self, tmp_path):
         cfg = {"C_values": [2, 3], "K_values": [3], "seeds": [1, 2], "horizon": 5,
@@ -250,10 +275,16 @@ class TestSweep:
 
 # sha256 of each CLI output file.  The scenario settings flow into these
 # bytes: the default workload law, the Poisson window and the noise seeds.
+with open(DEMO_CONFIG) as fh:
+    DEMO = json.load(fh)
 POISSON_CONFIG = {"C": 3, "K": 4, "horizon": 10, "master_seed": 5,
                   "poisson_arrivals": True, "window": 20}
 OUTPUT_DIGESTS = {
     "demo": ("run", DEMO_CONFIG, {
+        "timeseries.csv": "3ccab015a32ac42a0f479d90a6c5af8e28a9dee4b26f4f2c9d7a9305dab7cb6d",
+        "summary.csv": "fa82b12342c725ed663c5723861773a974e362a34c32bba49e9b4a8ec3e53304"}),
+    # "mode": "none" switches noise off whatever relative_sd says.
+    "demo-noise-none": ("run", dict(DEMO, noise={"mode": "none", "relative_sd": 0.5, "seed": 9}), {
         "timeseries.csv": "3ccab015a32ac42a0f479d90a6c5af8e28a9dee4b26f4f2c9d7a9305dab7cb6d",
         "summary.csv": "fa82b12342c725ed663c5723861773a974e362a34c32bba49e9b4a8ec3e53304"}),
     "poisson": ("run", POISSON_CONFIG, {
@@ -303,7 +334,8 @@ class TestValidate:
         {"rates": ["fast", 1.0]}, {"targets": [["two", 1, 2]]},
         {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
-        {"run_length": float("inf")}])
+        {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
+        {"rates": [2.0, True]}, {"master_seed": True}])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)

@@ -27,11 +27,11 @@ SCENARIOS = {
         "d3dcfb592d5c2525dcf2a28ad1c75279c7973a413226259a40dba41145327721"),
     "noisy-5x10": (
         ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
-                     noise=NoiseSpec("sampled", 0.05, 1001)),
+                     noise=NoiseSpec(0.05, 1001)),
         "81197be9e567e75f2131fbc9bb1efa39fa7ff7b0233bdb298ce585a932081eb1"),
     "poisson-5x10": (
-        ScenarioSpec(num_classes=5, num_stations=10, horizon=100, window=20.0, master_seed=1,
-                     poisson_arrivals=True),
+        ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
+                     poisson_window=20.0),
         "a40982e7944d758eb3ce7feadf1ab3df34723317ddf0bad556dc0b6331b07e04"),
 }
 

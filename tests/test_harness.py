@@ -70,13 +70,13 @@ class TestRunScenario:
 
     def test_noise_mode_still_runs(self):
         spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=20, master_seed=13,
-                            noise=NoiseSpec("sampled", 0.05, 3))
+                            noise=NoiseSpec(0.05, 3))
         rec = run_scenario(spec)
         assert len(rec.steps) == 20
 
     def test_poisson_arrivals_mode(self):
         spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=20, master_seed=17,
-                            window=1000.0, poisson_arrivals=True)
+                            poisson_window=1000.0)
         rec = run_scenario(spec)
         assert len(rec.steps) == 20
 
@@ -106,7 +106,7 @@ class TestSeams:
         wrap(harness, "plan_step")
         wrap(telemetry, "make_snapshot")
         spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
-                            noise=NoiseSpec("sampled", 0.05, 1001))
+                            noise=NoiseSpec(0.05, 1001))
         run_scenario(spec)
         steps, step = [], []
         for e in events:
@@ -139,7 +139,7 @@ class TestSeams:
 
     def test_step_rates_read_only(self):
         spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=4, master_seed=3,
-                            window=50.0, poisson_arrivals=True)
+                            poisson_window=50.0)
         for s in run_scenario(spec).steps + run_scenario(demo_spec()).steps:
             with pytest.raises(ValueError):
                 s.rates[0] = 1.0

@@ -45,7 +45,7 @@ class TestObserve:
         true_d = DEMO_DEMANDS
         for seed in range(draws):
             snap = observe(DEMO_RATES, true_d, [2, 1, 2],
-                           NoiseSpec("sampled", rsd, seed))
+                           NoiseSpec(rsd, seed))
             d = snap.total_demands() / snap.ref_config.counts
             expected = true_d / np.array([2, 1, 2])
             used = expected > 0
@@ -58,12 +58,12 @@ class TestObserve:
 
     def test_noise_off_is_exact(self):
         snap_a = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2])
-        snap_b = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec("none", 0.5, 9))
+        snap_b = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec(0.0, 9))
         np.testing.assert_array_equal(snap_a.total_demands(), snap_b.total_demands())
 
     def test_noise_deterministic_per_seed(self):
-        a = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec("sampled", 0.1, 5))
-        b = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec("sampled", 0.1, 5))
+        a = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec(0.1, 5))
+        b = observe(DEMO_RATES, DEMO_DEMANDS, [2, 1, 2], NoiseSpec(0.1, 5))
         np.testing.assert_array_equal(a.total_demands(), b.total_demands())
 
 
@@ -74,7 +74,7 @@ def reference_totals(rates, demands, counts, noise):
     demands_cfg = demands / counts
     util = rates @ demands_cfg
     resid = demands_cfg / (1.0 - util)
-    if noise.mode == "sampled" and noise.relative_sd > 0:
+    if noise.relative_sd > 0:
         rng = np.random.default_rng(noise.seed)
         sigma = np.sqrt(np.log1p(noise.relative_sd**2))
         resid = resid * rng.lognormal(0.0, sigma, size=resid.shape)
@@ -86,8 +86,8 @@ class TestTypedInputs:
     """The harness hands observe model types, which it takes as they are;
     raw input is validated.  Both give the same snapshot, bit for bit."""
 
-    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseSpec("sampled", 0.1, 5),
-                                       NoiseSpec("sampled", 0.05, 2**62 + 3)],
+    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseSpec(0.1, 5),
+                                       NoiseSpec(0.05, 2**62 + 3)],
                              ids=["off", "sampled", "sampled-wide-seed"])
     def test_typed_matches_raw(self, noise):
         rng = np.random.default_rng(29)
