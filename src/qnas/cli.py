@@ -2,10 +2,10 @@
 and summary CSVs, `sweep` runs a grid of (C, K) cells, `validate`
 cross-checks the analytic model against the discrete-event oracle.
 
-Config files are JSON; unknown keys are rejected, missing optional keys
-fall back to defaults with a logged notice.  Output files carry one
-`#`-prefixed metadata line, then a standard header row; floats are printed
-with 9 significant digits.  Writes are atomic (temp file + rename).
+Config files are JSON, read through one key table per command (`_Block`).
+Output files carry one `#`-prefixed metadata line, then a standard header
+row; floats are printed with 9 significant digits.  Writes are atomic
+(temp file + rename).
 """
 
 import argparse
@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,156 +56,180 @@ def write_csv(path, meta, header, rows):
         raise
 
 
-def _require(cfg, key, kind=None):
-    if key not in cfg:
-        raise ConfigError("missing required key %r" % key)
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError("key %r has wrong type" % key)
-    return value
+_REQUIRED = object()
+# A value kind: `test` accepts a raw JSON value, `convert` types it.
+_Kind = namedtuple("_Kind", "what test convert")
+# A table entry.  A dict `kind` is the table of a nested block.  `default`
+# is _REQUIRED, a value or a function of the values read so far; `notice`
+# logs it when used; `length` names the value a vector's length must equal.
+_Key = namedtuple("_Key", "kind default notice length", defaults=(_REQUIRED, False, None))
 
 
-def _whole(value, key):
-    """int(value) for a whole JSON number; whole-valued floats are accepted,
-    as in Configuration.  A fraction, which int() would truncate, and a
-    boolean or string, which it would convert, are ConfigErrors."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError("%s must be a whole number, got %r" % (key, value))
-    return int(value)
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
 
 
-def _reject_bools(value, key):
-    """A JSON true/false where a number is expected is a ConfigError:
-    float() and numpy would read it as 1/0."""
-    if isinstance(value, bool):
-        raise ConfigError("%s must not be true or false" % key)
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _reject_bools(v, k)
-    elif isinstance(value, list):
-        for v in value:
-            _reject_bools(v, key)
+def _array(v):
+    return np.array(v, dtype=float)
 
 
-def _master_seed(args, cfg):
-    """The --seed override, else the config's master_seed (default 0)."""
-    if args.seed is not None:
-        return args.seed
-    return _whole(_defaulted(cfg, "master_seed", 0), "master_seed")
+# JSON true/false and strings are never numbers, though int(), float() and
+# numpy would convert them.  Whole-valued floats are whole, as in
+# Configuration; a fraction, which int() would truncate, is not.
+_REAL = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+_WHOLE = _Kind("a whole number",
+               lambda v: _REAL.test(v) and (isinstance(v, int) or v.is_integer()), int)
+_BOOL = _Kind("true or false", lambda v: isinstance(v, bool), bool)
+_STR = _Kind("a string", lambda v: isinstance(v, str), str)
+_VECTOR = _Kind("a list of numbers", _list_of(_REAL.test), _array)
+_MATRIX = _Kind("a list of equal-length lists of numbers",
+                lambda v: _list_of(_VECTOR.test)(v) and len({len(row) for row in v}) == 1, _array)
+_WHOLES = _Kind("a list of whole numbers", _list_of(_WHOLE.test), lambda v: [int(x) for x in v])
+_VECTORS = _Kind("a list of lists of numbers", _list_of(_VECTOR.test), list)
+_STRS = _Kind("a list of strings", _list_of(_STR.test), list)
+_MODE = _Kind("'none' or 'sampled'", lambda v: v in ("none", "sampled"), str)
 
 
-def _check_keys(cfg, allowed, where):
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError("unknown key(s) in %s: %s" % (where, sorted(unknown)))
+class _Block:
+    """The typed values of one JSON config object, read through its table.
 
+    Building the block rejects unknown keys, missing required keys and
+    values of the wrong kind or length, each as a ConfigError naming the
+    key path.  Ranges are left to the model types the values build.  An
+    absent key reads as its default, logging the table's notice on each
+    read; `key in block` tells whether the config gave the key.
+    """
 
-def _defaulted(cfg, key, default):
-    if key not in cfg:
-        log.info("config: %s not set, defaulting to %r", key, default)
+    def __init__(self, table, cfg, where="config", dims=None, prefix=""):
+        if not isinstance(cfg, dict):
+            raise ConfigError("%s must be an object" % where)
+        unknown = set(cfg) - set(table)
+        if unknown:
+            raise ConfigError("unknown key(s) in %s: %s" % (where, sorted(unknown)))
+        self._table, self._prefix = table, prefix
+        self._dims = dict(dims or {})  # the values read so far, outer blocks' too
+        self._given = {}
+        for key, entry in table.items():
+            path = prefix + key
+            if key not in cfg:
+                if entry.default is _REQUIRED:
+                    raise ConfigError("missing required key %r" % path)
+                continue
+            if isinstance(entry.kind, dict):
+                value = _Block(entry.kind, cfg[key], path, self._dims, path + ".")
+            elif entry.kind.test(cfg[key]):
+                value = entry.kind.convert(cfg[key])
+            else:
+                raise ConfigError("%s must be %s, got %r" % (path, entry.kind.what, cfg[key]))
+            if entry.length and len(value) != self._dims[entry.length]:
+                raise ConfigError("%s must list %d values" % (path, self._dims[entry.length]))
+            self._given[key] = self._dims[key] = value
+
+    def __contains__(self, key):
+        return key in self._given
+
+    def __getitem__(self, key):
+        if key in self._given:
+            return self._given[key]
+        entry, path = self._table[key], self._prefix + key
+        if isinstance(entry.kind, dict):
+            return _Block(entry.kind, entry.default, path, self._dims, path + ".")
+        default = entry.default(self._dims) if callable(entry.default) else entry.default
+        if entry.notice:
+            log.info("config: %s not set, defaulting to %r", path, default)
         return default
-    return cfg[key]
 
 
-_SCENARIO_KEYS = {
-    "C", "K", "horizon", "window", "master_seed", "workload", "demands",
-    "sla", "noise", "initial_config", "poisson_arrivals", "out_dir",
+_WORKLOAD = {  # the fields of WorkloadLaw
+    "base_rates": _Key(_VECTOR, length="C"),
+    "amplitudes": _Key(_VECTOR, lambda d: [0.0] * d["C"], True, "C"),
+    "periods": _Key(_VECTOR, lambda d: [float(d["horizon"])] * d["C"], True, "C"),
+    "phases": _Key(_VECTOR, lambda d: [0.0] * d["C"], True, "C"),
+    "perturbation_sd": _Key(_REAL, 0.0),
+    "perturbation_persistence": _Key(_REAL, 0.0),
 }
-_WORKLOAD_KEYS = {"base_rates", "amplitudes", "periods", "phases",
-                  "perturbation_sd", "perturbation_persistence"}
-_SLA_KEYS = {"multiplier", "max_response"}
-_NOISE_KEYS = {"mode", "relative_sd", "seed"}
+_SCENARIO = {
+    "C": _Key(_WHOLE),
+    "K": _Key(_WHOLE),
+    "horizon": _Key(_WHOLE),
+    "master_seed": _Key(_WHOLE, 0, True),
+    "poisson_arrivals": _Key(_BOOL, False),
+    "window": _Key(_REAL, 1.0, True),
+    "workload": _Key(_WORKLOAD, {}),
+    "demands": _Key(_MATRIX, None),
+    "sla": _Key({"multiplier": _Key(_REAL, 2.0, True),
+                 "max_response": _Key(_VECTOR, None, length="C")}, {}),
+    "noise": _Key({"mode": _Key(_MODE, "none"),
+                   "relative_sd": _Key(_REAL, 0.0),
+                   "seed": _Key(_WHOLE, 0)}, {}),
+    "initial_config": _Key(_VECTOR, None),
+    "out_dir": _Key(_STR, None),
+}
+# A sweep reads these once, and a bad one fails the sweep.  Its other keys
+# are scenario keys but C and K: each cell reads them, and fails on a bad one.
+_SWEEP = {
+    "C_values": _Key(_WHOLES),
+    "K_values": _Key(_WHOLES),
+    "seeds": _Key(_WHOLES, None),
+    "master_seed": _Key(_WHOLE, 0, True),
+    "out_dir": _Key(_STR, None),
+}
+_CELL_KEYS = set(_SCENARIO) - {"C", "K"} - set(_SWEEP)
+_VALIDATE = {
+    "rates": _Key(_VECTOR),
+    "demands": _Key(_MATRIX),
+    "ref_config": _Key(_VECTOR, lambda d: [1] * d["demands"].shape[1], True),
+    "targets": _Key(_VECTORS),
+    "disciplines": _Key(_STRS, ["ps"], True),
+    "run_length": _Key(_REAL, 1e4, True),
+    "warmup_fraction": _Key(_REAL, 0.2),
+    "batches": _Key(_WHOLE, 10),
+    "master_seed": _Key(_WHOLE, 0, True),
+    "out_dir": _Key(_STR, None),
+}
 
 
-def _vector(cfg, key, C, default=None):
-    """A per-class vector from the config, required when no default."""
-    value = _require(cfg, key) if default is None else _defaulted(cfg, key, [default] * C)
-    v = np.asarray(value, dtype=float)
-    if v.shape != (C,):
-        raise ConfigError("%s must list %d values" % (key, C))
-    return v
-
-
-def _parse_workload(cfg, C, horizon):
-    _check_keys(cfg, _WORKLOAD_KEYS, "workload")
-    return WorkloadLaw(_vector(cfg, "base_rates", C),
-                       _vector(cfg, "amplitudes", C, 0.0),
-                       _vector(cfg, "periods", C, float(horizon)),
-                       _vector(cfg, "phases", C, 0.0),
-                       float(cfg.get("perturbation_sd", 0.0)),
-                       float(cfg.get("perturbation_persistence", 0.0)))
-
-
-def _parse_scenario(cfg):
-    """Build a ScenarioSpec; any out-of-range or malformed value is a
-    ConfigError, raised before the scenario runs."""
-    try:
-        return ScenarioSpec(**_scenario_kwargs(cfg))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _scenario_kwargs(cfg):
-    _check_keys(cfg, _SCENARIO_KEYS, "config")
-    poisson = cfg.get("poisson_arrivals", False)
-    if not isinstance(poisson, bool):
-        raise ConfigError("poisson_arrivals must be true or false")
-    _reject_bools({k: v for k, v in cfg.items() if k != "poisson_arrivals"}, "config")
-    C = _whole(_require(cfg, "C"), "C")
-    K = _whole(_require(cfg, "K"), "K")
-    horizon = _whole(_require(cfg, "horizon"), "horizon")
-    if "window" in cfg and not poisson:
+def _parse_scenario(v):
+    """Build a ScenarioSpec from a scenario block; any out-of-range value is
+    a ConfigError, raised before the scenario runs."""
+    poisson, sla, noise = v["poisson_arrivals"], v["sla"], v["noise"]
+    if "window" in v and not poisson:
         raise ConfigError('window needs "poisson_arrivals": true')
-    kwargs = dict(
-        num_classes=C,
-        num_stations=K,
-        horizon=horizon,
-        master_seed=_whole(_defaulted(cfg, "master_seed", 0), "master_seed"),
-        poisson_window=float(_defaulted(cfg, "window", 1.0)) if poisson else None,
-    )
-    if cfg.get("workload"):
-        kwargs["workload"] = _parse_workload(cfg["workload"], C, horizon)
-    if "demands" in cfg:
-        kwargs["demands"] = DemandMatrix(cfg["demands"])
-    sla_cfg = cfg.get("sla", {})
-    _check_keys(sla_cfg, _SLA_KEYS, "sla")
-    if "max_response" in sla_cfg:
-        kwargs["sla"] = SlaThresholds(_vector(sla_cfg, "max_response", C))
-    else:
-        kwargs["sla_multiplier"] = float(_defaulted(sla_cfg, "multiplier", 2.0))
-    noise_cfg = cfg.get("noise", {})
-    _check_keys(noise_cfg, _NOISE_KEYS, "noise")
-    mode = noise_cfg.get("mode", "none")
-    if mode not in ("none", "sampled"):
-        raise ConfigError("noise mode must be 'none' or 'sampled'")
-    relative_sd = float(noise_cfg.get("relative_sd", 0.0))
-    if relative_sd > 0 and "mode" not in noise_cfg:
+    if noise["relative_sd"] > 0 and "mode" not in noise:
         raise ConfigError('noise: relative_sd > 0 needs "mode": "sampled" '
                           '(or "mode": "none" to switch noise off)')
-    # Built before "none" switches it off, so its values are checked either way.
-    noise = NoiseSpec(relative_sd, _whole(noise_cfg.get("seed", 0), "noise seed"))
-    kwargs["noise"] = noise if mode == "sampled" else NO_NOISE
-    if "initial_config" in cfg:
-        kwargs["initial_config"] = Configuration(cfg["initial_config"])
-    return kwargs
+    kwargs = dict(master_seed=v["master_seed"], poisson_window=v["window"] if poisson else None)
+    try:
+        if "workload" in v:
+            kwargs["workload"] = WorkloadLaw(**{k: v["workload"][k] for k in _WORKLOAD})
+        if "demands" in v:
+            kwargs["demands"] = DemandMatrix(v["demands"])
+        if "max_response" in sla:
+            kwargs["sla"] = SlaThresholds(sla["max_response"])
+        else:
+            kwargs["sla_multiplier"] = sla["multiplier"]
+        # Built before "none" switches it off, so its values are checked either way.
+        sampled = NoiseSpec(noise["relative_sd"], noise["seed"])
+        kwargs["noise"] = sampled if noise["mode"] == "sampled" else NO_NOISE
+        if "initial_config" in v:
+            kwargs["initial_config"] = Configuration(v["initial_config"])
+        return ScenarioSpec(v["C"], v["K"], v["horizon"], **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("invalid JSON: %s" % exc) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    return cfg
 
 
-def _out_dir(args, cfg):
-    return args.out or cfg.get("out_dir") or os.environ.get("QNAS_OUT") or "."
+def _out_dir(args, v):
+    return args.out or v["out_dir"] or os.environ.get("QNAS_OUT") or "."
 
 
 SUMMARY_HEADER = ["C", "K", "acq_max", "acq_avg", "rel_max", "rel_avg",
@@ -246,8 +271,9 @@ def cmd_run(args):
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
-    spec = _parse_scenario(cfg)
-    out_dir = _out_dir(args, cfg)
+    v = _Block(_SCENARIO, cfg)
+    spec = _parse_scenario(v)
+    out_dir = _out_dir(args, v)
     try:
         record = run_scenario(spec)
     except UnattainableSla as exc:
@@ -262,34 +288,22 @@ def cmd_run(args):
     return EXIT_OK
 
 
-_SWEEP_KEYS = (_SCENARIO_KEYS - {"C", "K"}) | {"C_values", "K_values", "seeds"}
-
-
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, _SWEEP_KEYS, "sweep config")
-    try:
-        c_values = [_whole(v, "C_values") for v in _require(cfg, "C_values", list)]
-        k_values = [_whole(v, "K_values") for v in _require(cfg, "K_values", list)]
-        if "seeds" in cfg:
-            _whole(cfg.get("master_seed", 0), "master_seed")  # unused, still checked
-            seeds = cfg["seeds"]
-        else:
-            seeds = [_master_seed(args, cfg)]
-        seeds = [_whole(v, "seeds") for v in seeds]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("malformed value: %s" % exc) from exc
-    out_dir = _out_dir(args, cfg)
+    grid = _Block(_SWEEP, {k: v for k, v in cfg.items() if k not in _CELL_KEYS}, "sweep config")
+    c_values, k_values = grid["C_values"], grid["K_values"]
+    seeds = grid["seeds"] if "seeds" in grid else [
+        args.seed if args.seed is not None else grid["master_seed"]]
+    out_dir = _out_dir(args, grid)
+    shared = {k: v for k, v in cfg.items() if k in _CELL_KEYS}
     rows = []
     warnings = 0
     for C in c_values:
         for K in k_values:
             for seed in seeds:
-                cell = {k: v for k, v in cfg.items()
-                        if k not in ("C_values", "K_values", "seeds", "out_dir")}
-                cell.update(C=C, K=K, master_seed=subseed(seed, "cell-%d-%d" % (C, K)))
+                cell = dict(shared, C=C, K=K, master_seed=subseed(seed, "cell-%d-%d" % (C, K)))
                 try:
-                    record = run_scenario(_parse_scenario(cell))
+                    record = run_scenario(_parse_scenario(_Block(_SCENARIO, cell)))
                     rows.append([seed] + _summary_row(C, K, record.summary))
                 except QnasError as exc:
                     warnings += 1
@@ -302,34 +316,18 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-_VALIDATE_KEYS = {"rates", "demands", "ref_config", "targets", "disciplines",
-                  "run_length", "warmup_fraction", "batches", "master_seed", "out_dir"}
-
-
 def cmd_validate(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _VALIDATE_KEYS, "validate config")
-    _reject_bools(cfg, "validate config")
+    v = _Block(_VALIDATE, _load_config(args.config), "validate config")
     try:
-        rates = np.asarray(_require(cfg, "rates", list), dtype=float)
-        demands = np.asarray(_require(cfg, "demands", list), dtype=float)
-        ref = Configuration(_defaulted(cfg, "ref_config", [1] * demands.shape[1]))
-        targets = [Configuration(t) for t in _require(cfg, "targets", list)]
-        run_length = float(_defaulted(cfg, "run_length", 1e4))
-        warmup_fraction = float(cfg.get("warmup_fraction", 0.2))
-        batches = _whole(cfg.get("batches", 10), "batches")
-        seed = _master_seed(args, cfg)
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError("malformed value: %s" % exc) from exc
-    disciplines = _defaulted(cfg, "disciplines", ["ps"])
-    if not isinstance(disciplines, list) or not all(isinstance(d, str) for d in disciplines):
-        raise ConfigError("disciplines must be a list of names")
-    out_dir = _out_dir(args, cfg)
-
-    try:
-        base = make_snapshot(ref, rates, demands)
+        ref = Configuration(v["ref_config"])
+        targets = [Configuration(t) for t in v["targets"]]
+        base = make_snapshot(ref, v["rates"], v["demands"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    run_length = v["run_length"]
+    seed = args.seed if args.seed is not None else v["master_seed"]
+    disciplines = v["disciplines"]
+    out_dir = _out_dir(args, v)
 
     total_d = base.total_demands()
     rows = []
@@ -340,8 +338,8 @@ def cmd_validate(args):
             try:
                 result = des_validate(base, target, discipline=disc,
                                       run_length=run_length,
-                                      warmup_fraction=warmup_fraction,
-                                      batches=batches,
+                                      warmup_fraction=v["warmup_fraction"],
+                                      batches=v["batches"],
                                       seed=subseed(seed, "des-%s-%s" % (disc, counts)))
             except InfeasibleConfiguration as exc:
                 log.error("target %s: %s", counts, exc)

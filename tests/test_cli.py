@@ -2,12 +2,14 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qnas import cli
 from qnas.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNATTAINABLE, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,13 +62,32 @@ BAD_SCENARIO_VALUES = {
     "bool-relative-sd": {"noise": {"mode": "sampled", "relative_sd": True}},
     "bool-noise-seed": {"noise": {"mode": "sampled", "relative_sd": 0.05, "seed": True}},
     "bool-window": {"window": True, "poisson_arrivals": True},
+    # Nor are numeric strings, though float() and numpy read them as numbers.
+    "string-multiplier": {"sla": {"multiplier": "2"}},
+    "string-window": {"window": "2", "poisson_arrivals": True},
+    "string-base-rates": {"workload": {"base_rates": ["1", 1, 1]}},
+    "string-perturbation-sd": {"workload": {"base_rates": [1, 1, 1], "perturbation_sd": "0.1"}},
+    "string-demands": {"demands": [["0.5", 0.5, 0.5, 0.5], [0.5] * 4, [0.5] * 4]},
+    "string-initial-config": {"initial_config": ["2", 1, 1, 1]},
+    "string-max-response": {"sla": {"max_response": ["50", 50.0, 50.0]}},
+    "string-relative-sd": {"noise": {"mode": "sampled", "relative_sd": "0.05"}},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
 # The same holds for C and K, which a sweep reads from its grid.
 BAD_RUN_VALUES = {**BAD_SCENARIO_VALUES, "fractional-master-seed": {"master_seed": 1.5},
                   "bool-master-seed": {"master_seed": True}, "bool-C": {"C": True},
-                  "fractional-C": {"C": 2.7}, "string-K": {"K": "4"}}
+                  "fractional-C": {"C": 2.7}, "string-K": {"K": "4"},
+                  # Checked even though --out overrides it.
+                  "int-out-dir": {"out_dir": 5}}
+# The config error of each of these names the key path.
+ERROR_KEY_PATHS = {
+    "string-multiplier": "sla.multiplier", "string-window": "window",
+    "string-base-rates": "workload.base_rates",
+    "string-perturbation-sd": "workload.perturbation_sd", "string-demands": "demands",
+    "string-initial-config": "initial_config", "string-max-response": "sla.max_response",
+    "string-relative-sd": "noise.relative_sd", "int-out-dir": "out_dir",
+}
 
 
 def bad_scenario(name):
@@ -125,13 +146,14 @@ class TestRun:
         assert rc == EXIT_UNATTAINABLE
 
     @pytest.mark.parametrize("name", sorted(BAD_RUN_VALUES))
-    def test_out_of_range_values(self, tmp_path, name):
+    def test_out_of_range_values(self, tmp_path, caplog, name):
         cfg = bad_scenario(name)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out" / "summary.csv").exists()
+        assert ERROR_KEY_PATHS.get(name, "") in caplog.text
 
     def test_idempotent_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -180,6 +202,23 @@ def test_imports_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_readme_lists_config_keys():
+    # README's CLI section lists each command's keys, nested ones by path;
+    # each list must be exactly the command's key table.
+    def paths(table, prefix=""):
+        for key, entry in table.items():
+            yield prefix + key
+            if isinstance(entry.kind, dict):
+                yield from paths(entry.kind, prefix + key + ".")
+
+    with open(os.path.join(REPO, "README.md")) as fh:
+        section = fh.read().split("\n## CLI\n")[1].split("\n## ")[0]
+    listed = {command: set(re.findall(r"`([^`]+)`", body)) for command, body
+              in re.findall(r"^- (\w+): (.*?)(?=\n- |\n\n)", section, re.M | re.S)}
+    assert listed == {"run": set(paths(cli._SCENARIO)), "sweep": set(paths(cli._SWEEP)),
+                      "validate": set(paths(cli._VALIDATE))}
+
+
 class TestSweep:
     def test_degenerate_grid_matches_run(self, tmp_path):
         cfg = json.load(open(DEMO_CONFIG))
@@ -223,14 +262,18 @@ class TestSweep:
         {"C_values": [2.7]}, {"K_values": [3.5]}, {"seeds": [0.9]}, {"master_seed": 1.5},
         # Listed seeds leave master_seed unused, but it is checked all the same.
         {"seeds": [1], "master_seed": "x"}, {"seeds": [1], "master_seed": 1.5},
-        {"C_values": [True]}, {"seeds": [True]}, {"master_seed": False}])
-    def test_malformed_grid(self, tmp_path, override):
+        {"C_values": [True]}, {"seeds": [True]}, {"master_seed": False},
+        # Checked even though --out overrides it.
+        {"out_dir": True}])
+    def test_malformed_grid(self, tmp_path, caplog, override):
         cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
+        if "out_dir" in override:
+            assert "out_dir" in caplog.text
 
     def test_seeds_need_no_master_seed(self, tmp_path, caplog):
         # Listed seeds replace the master seed, so its default is not logged.
@@ -308,6 +351,11 @@ def test_output_bytes_pinned(tmp_path, name):
         assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == expected, filename
 
 
+# Each is a config error that names its key; out_dir is checked even
+# though --out overrides it.
+VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5}]
+
+
 class TestValidate:
     def test_demo_passes_gate(self, tmp_path):
         rc = main(["validate", "--config", VALIDATE_CONFIG, "--out", str(tmp_path), "--quiet"])
@@ -335,7 +383,7 @@ class TestValidate:
         {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
         {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
-        {"rates": [2.0, True]}, {"master_seed": True}])
+        {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)
@@ -348,6 +396,8 @@ class TestValidate:
             # Written as Infinity in the JSON; numpy's Poisson draw used to
             # report it as "lam value too large".
             assert "run_length" in caplog.text
+        if override in VALIDATE_KEY_ERRORS:
+            assert next(iter(override)) in caplog.text
 
     def test_mm1_closed_form(self, tmp_path):
         cfg = {"rates": [0.5], "demands": [[1.0]], "ref_config": [1],
