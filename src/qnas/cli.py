@@ -22,7 +22,7 @@ from .errors import ConfigError, InfeasibleConfiguration, QnasError, Unattainabl
 from .model import Configuration, DemandMatrix, make_snapshot, predict_response
 from .planner import SlaThresholds
 from .simkit import ScenarioSpec, des_validate, run_scenario, subseed
-from .simkit.des import DISCIPLINES, PS
+from .simkit.des import PS
 from .telemetry import NO_NOISE, NoiseSpec
 from .workload import WorkloadLaw
 
@@ -85,7 +85,7 @@ _VECTOR = _Kind("a list of numbers", _list_of(_REAL.test), _array)
 _MATRIX = _Kind("a list of equal-length lists of numbers",
                 lambda v: _list_of(_VECTOR.test)(v) and len({len(row) for row in v}) == 1, _array)
 _WHOLES = _Kind("a list of whole numbers", _list_of(_WHOLE.test), lambda v: [int(x) for x in v])
-_VECTORS = _Kind("a list of lists of numbers", _list_of(_VECTOR.test), list)
+_VECTORS = _Kind("a list of lists of numbers", _list_of(_VECTOR.test), lambda v: [*map(_array, v)])
 _STRS = _Kind("a list of strings", _list_of(_STR.test), list)
 _MODE = _Kind("'none' or 'sampled'", lambda v: v in ("none", "sampled"), str)
 
@@ -95,18 +95,20 @@ class _Block:
 
     Building the block rejects unknown keys, missing required keys and
     values of the wrong kind or length, each as a ConfigError naming the
-    key path.  Ranges are left to the model types the values build.  An
-    absent key reads as its default, logging the table's notice on each
-    read; `key in block` tells whether the config gave the key.
+    key path, as is a number beyond float range.  Ranges are left to the
+    model types the values build.  An absent key reads as its default,
+    logging the table's notice once per `noticed` set (one per command);
+    `key in block` tells whether the config gave the key.
     """
 
-    def __init__(self, table, cfg, where="config", dims=None, prefix=""):
+    def __init__(self, table, cfg, where="config", dims=None, prefix="", noticed=None):
         if not isinstance(cfg, dict):
             raise ConfigError("%s must be an object" % where)
         unknown = set(cfg) - set(table)
         if unknown:
             raise ConfigError("unknown key(s) in %s: %s" % (where, sorted(unknown)))
         self._table, self._prefix = table, prefix
+        self._noticed = set() if noticed is None else noticed  # (path, default) logged
         self._dims = dict(dims or {})  # the values read so far, outer blocks' too
         self._given = {}
         for key, entry in table.items():
@@ -116,9 +118,12 @@ class _Block:
                     raise ConfigError("missing required key %r" % path)
                 continue
             if isinstance(entry.kind, dict):
-                value = _Block(entry.kind, cfg[key], path, self._dims, path + ".")
+                value = _Block(entry.kind, cfg[key], path, self._dims, path + ".", self._noticed)
             elif entry.kind.test(cfg[key]):
-                value = entry.kind.convert(cfg[key])
+                try:
+                    value = entry.kind.convert(cfg[key])
+                except OverflowError:
+                    raise ConfigError("%s holds a number beyond float range" % path) from None
             else:
                 raise ConfigError("%s must be %s, got %r" % (path, entry.kind.what, cfg[key]))
             if entry.length and len(value) != self._dims[entry.length]:
@@ -133,9 +138,10 @@ class _Block:
             return self._given[key]
         entry, path = self._table[key], self._prefix + key
         if isinstance(entry.kind, dict):
-            return _Block(entry.kind, entry.default, path, self._dims, path + ".")
+            return _Block(entry.kind, entry.default, path, self._dims, path + ".", self._noticed)
         default = entry.default(self._dims) if callable(entry.default) else entry.default
-        if entry.notice:
+        if entry.notice and (path, repr(default)) not in self._noticed:
+            self._noticed.add((path, repr(default)))
             log.info("config: %s not set, defaulting to %r", path, default)
         return default
 
@@ -258,7 +264,7 @@ def _write_run_outputs(record, out_dir):
         rows.append([s.step]
                     + [float(v) for v in s.rates]
                     + [float(v) for v in s.predicted_response]
-                    + [float(v) for v in s.thresholds]
+                    + [float(v) for v in record.thresholds.max_response]
                     + [int(v) for v in s.config_after.counts]
                     + [s.total_instances, s.acquire_iterations, s.release_iterations])
     meta = "C=%d K=%d horizon=%d seed=%d" % (C, K, spec.horizon, spec.master_seed)
@@ -296,6 +302,7 @@ def cmd_sweep(args):
         args.seed if args.seed is not None else grid["master_seed"]]
     out_dir = _out_dir(args, grid)
     shared = {k: v for k, v in cfg.items() if k in _CELL_KEYS}
+    noticed = set()  # so each default's notice is logged once, not once per cell
     rows = []
     warnings = 0
     for C in c_values:
@@ -303,7 +310,7 @@ def cmd_sweep(args):
             for seed in seeds:
                 cell = dict(shared, C=C, K=K, master_seed=subseed(seed, "cell-%d-%d" % (C, K)))
                 try:
-                    record = run_scenario(_parse_scenario(_Block(_SCENARIO, cell)))
+                    record = run_scenario(_parse_scenario(_Block(_SCENARIO, cell, noticed=noticed)))
                     rows.append([seed] + _summary_row(C, K, record.summary))
                 except QnasError as exc:
                     warnings += 1
@@ -356,7 +363,7 @@ def cmd_validate(args):
                     analytic = rt.per_class_station[c, k] * counts[k]
                     simulated = result.residence[c, k]
                     rel = abs(simulated - analytic) / analytic
-                    if DISCIPLINES[disc] == PS and rel > 0.05:
+                    if disc == PS and rel > 0.05:
                         ps_failures += 1
                     rows.append([disc, "-".join(map(str, counts)),
                                  k + 1, c + 1, float(analytic), float(simulated),

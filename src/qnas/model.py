@@ -27,6 +27,11 @@ def _frozen(a):
     return a
 
 
+def _typed(cls, value):
+    """`value` as a `cls`, built (and so validated) unless it is one."""
+    return value if isinstance(value, cls) else cls(value)
+
+
 def _trusted(cls, **fields):
     """An instance of a frozen model type built from arrays that are
     already valid and read-only; skips __post_init__."""
@@ -154,9 +159,9 @@ def make_snapshot(ref_config, rates, demands):
     capacity floor rates @ totals.  Inputs that are not model types yet are
     validated here; typed ones are taken as they are.  Totals or a floor
     that overflow to infinity are rejected."""
-    config = ref_config if isinstance(ref_config, Configuration) else Configuration(ref_config)
-    rates = rates if isinstance(rates, ArrivalRates) else ArrivalRates(rates)
-    demands = demands if isinstance(demands, DemandMatrix) else DemandMatrix(demands)
+    config = _typed(Configuration, ref_config)
+    rates = _typed(ArrivalRates, rates)
+    demands = _typed(DemandMatrix, demands)
     if demands.demands.shape != (rates.num_classes, config.num_stations):
         raise ValueError("demand matrix shape does not match (C, K)")
     totals = demands.demands * config.counts
@@ -171,7 +176,7 @@ def make_snapshot(ref_config, rates, demands):
 
 def _target(base, target):
     """A target configuration for `base`, validated."""
-    target = target if isinstance(target, Configuration) else Configuration(target)
+    target = _typed(Configuration, target)
     if target.num_stations != base.num_stations:
         raise ValueError("target configuration length does not match K")
     return target

@@ -124,7 +124,7 @@ def _acquire_start(base, sla):
 # of the slack, which is exactly its negation) both answers "any
 # violation?" and picks the class.
 
-def _acquire_phase(g, iteration_cap):
+def _acquire_phase(g):
     """Add instances until every class meets its threshold; returns the
     greedy iteration count and the class of least slack at the end."""
     td, floor, fl, limits = g.td, g.floor, g.fl, g.limits
@@ -138,8 +138,8 @@ def _acquire_phase(g, iteration_cap):
         if not excess.item(b) > 0:
             break
         iters += 1
-        if iters > iteration_cap:
-            raise IterationCap("acquire exceeded %d iterations" % iteration_cap)
+        if iters > DEFAULT_ITERATION_CAP:
+            raise IterationCap("acquire exceeded %d iterations" % DEFAULT_ITERATION_CAP)
         if gain is None:
             # Terms at one more instance, and the gain of that instance;
             # built at the first move, since many steps need none.
@@ -159,7 +159,7 @@ def _acquire_phase(g, iteration_cap):
     return iters, b
 
 
-def _release_phase(g, d, iteration_cap):
+def _release_phase(g, d):
     """Remove instances while every threshold holds, starting from the class
     d of least slack; returns the iteration count.  The caller guarantees
     the tables' counts meet the thresholds."""
@@ -185,8 +185,8 @@ def _release_phase(g, d, iteration_cap):
     iters = 0
     while left:
         iters += 1
-        if iters > iteration_cap:
-            raise IterationCap("release exceeded %d iterations" % iteration_cap)
+        if iters > DEFAULT_ITERATION_CAP:
+            raise IterationCap("release exceeded %d iterations" % DEFAULT_ITERATION_CAP)
         if moved:
             # Class d, its marginals and its response change only when a
             # removal is accepted.  per_class[d] * (1 + MARGIN) bounds class
@@ -245,8 +245,8 @@ def _release_phase(g, d, iteration_cap):
         doomed = np.flatnonzero((grown > reject_above).any(axis=1))
         live = stations - doomed.size
         iters += left - 1 - live
-        if iters > iteration_cap:
-            raise IterationCap("release exceeded %d iterations" % iteration_cap)
+        if iters > DEFAULT_ITERATION_CAP:
+            raise IterationCap("release exceeded %d iterations" % DEFAULT_ITERATION_CAP)
         left = live
         fewer[doomed] = np.inf
         cost[doomed] = np.inf
@@ -254,7 +254,7 @@ def _release_phase(g, d, iteration_cap):
     return iters
 
 
-def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+def acquire(base, sla):
     """Grow the configuration until every class meets its threshold.
 
     Preconditioning first lifts the configuration to the minimum feasible
@@ -264,11 +264,11 @@ def acquire(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
     Returns (configuration, greedy iteration count).
     """
     g = _acquire_start(base, sla)
-    iters, _ = _acquire_phase(g, iteration_cap)
+    iters, _ = _acquire_phase(g)
     return g.configuration(), iters
 
 
-def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+def release(base, sla):
     """Shrink the reference configuration greedily while keeping every
     threshold satisfied.  The caller guarantees the reference configuration
     already meets the thresholds.  Returns (configuration, iteration count);
@@ -288,18 +288,18 @@ def release(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
         return base.ref_config, 0
     g = _Greedy(base, sla, counts)
     d = int(((sla.max_response - g.per_class) / sla.max_response).argmin())
-    iters = _release_phase(g, d, iteration_cap)
+    iters = _release_phase(g, d)
     return g.configuration(), iters
 
 
-def plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+def plan_step(base, sla):
     """One planning pass on one set of tables: acquire, then release from
     the acquired configuration.  The prediction is the release phase's
     final residence table and response, bit for bit what predict_response
     gives at the released configuration."""
     g = _acquire_start(base, sla)
-    acq_iters, d = _acquire_phase(g, iteration_cap)
-    rel_iters = _release_phase(g, d, iteration_cap)
+    acq_iters, d = _acquire_phase(g)
+    rel_iters = _release_phase(g, d)
     rt = ResponseTimes(g.per_class, g.per_cs)
     feasible = np.count_nonzero(g.per_class <= sla.max_response) == sla.num_classes
     return PlanOutcome(g.configuration(), acq_iters, rel_iters, rt, feasible)

@@ -31,7 +31,7 @@ from ..model import _target, capacity_floor, residence_table
 
 PS = "ps"
 FCFS = "fcfs"
-DISCIPLINES = {"ps": PS, "processor-sharing": PS, "fcfs": FCFS}
+DISCIPLINES = (PS, FCFS)
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,11 @@ def busy_period_starts(arrivals, fcfs_dep):
     return fresh
 
 
-def ps_departures(arrivals, services, fresh=None):
+def ps_departures(arrivals, services, fresh):
     """Departure times of egalitarian processor-sharing single servers from
-    arrival times and service times (contiguous float64 arrays).
-
-    Without `fresh` the input is one server's sorted stream.  Otherwise it
-    may be several servers' sorted streams one after another, and `fresh`
-    marks the first job of each busy period (busy_period_starts on each
-    stream).
+    arrival times and service times (contiguous float64 arrays): one or
+    more servers' sorted streams one after another.  `fresh` marks the
+    first job of each busy period (busy_period_starts on each stream).
 
     With n jobs present each is served at rate 1/n, so virtual time V runs
     at dV/dt = 1/n and a job arriving at virtual time V leaves when V
@@ -100,9 +97,7 @@ def ps_departures(arrivals, services, fresh=None):
     rest advance together as the lanes of _ps_lanes.
     """
     size = arrivals.size
-    if fresh is None:
-        fresh = busy_period_starts(arrivals, fcfs_departures(arrivals, services))
-    elif size and not fresh[0]:
+    if size and not fresh[0]:
         raise ValueError("the first job must start a busy period")
     dep = np.empty(size)
     starts = np.flatnonzero(fresh)
@@ -426,7 +421,7 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     warmup = warmup_fraction * run_length
     completions_rec, residence, residence_hw, _, busy, visits_ci = des_loop(
         base.rates.rates.astype(np.float64), total_d.astype(np.float64),
-        counts.astype(np.int64), DISCIPLINES[discipline], float(run_length),
+        counts.astype(np.int64), discipline, float(run_length),
         float(warmup), seed, batches)
 
     response = np.full(C, np.nan)

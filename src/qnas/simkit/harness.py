@@ -3,6 +3,7 @@ system through the synthetic monitor, run one planning pass per step, and
 aggregate allocation statistics over the horizon.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,10 +49,11 @@ class ScenarioSpec:
     poisson_window: Optional[float] = None      # rates used as generated if None
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.num_stations < 1:
-            raise ValueError("C and K must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        # A float or bool size would fail inside numpy once the run starts.
+        for name in ("num_classes", "num_stations", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
         # Out-of-range knobs fail here, not once the run has started; NaN
         # fails both bounds.
         if self.poisson_window is not None and not 0 < self.poisson_window < np.inf:
@@ -73,10 +75,8 @@ class ScenarioSpec:
 class StepRecord:
     step: int
     rates: np.ndarray
-    config_before: Configuration
     config_after: Configuration
     predicted_response: np.ndarray
-    thresholds: np.ndarray
     acquire_iterations: int
     release_iterations: int
 
@@ -175,10 +175,8 @@ def run_scenario(spec):
         steps.append(StepRecord(
             step=t,
             rates=rates,
-            config_before=config,
             config_after=outcome.new_config,
             predicted_response=outcome.predicted_response.per_class,
-            thresholds=sla.max_response,
             acquire_iterations=outcome.acquire_iterations,
             release_iterations=outcome.release_iterations,
         ))

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverloadedStation
-from .model import ArrivalRates, Configuration, DemandMatrix, _frozen, _trusted, make_snapshot
+from .model import ArrivalRates, Configuration, DemandMatrix, make_snapshot
+from .model import _frozen, _trusted, _typed
 
 UTIL_CLAMP = 1.0 - 1e-6
 
@@ -46,13 +47,9 @@ def observe(true_rates, true_demands_unit, config, noise=NO_NOISE):
     OverloadedStation if the workload saturates a station at `config`.
     Raw inputs are validated here; model types are taken as they are.
     """
-    rates = true_rates if isinstance(true_rates, ArrivalRates) else ArrivalRates(true_rates)
-    truth = (
-        true_demands_unit
-        if isinstance(true_demands_unit, DemandMatrix)
-        else DemandMatrix(true_demands_unit)
-    )
-    config = config if isinstance(config, Configuration) else Configuration(config)
+    rates = _typed(ArrivalRates, true_rates)
+    truth = _typed(DemandMatrix, true_demands_unit)
+    config = _typed(Configuration, config)
     demands_cfg = truth.demands / config.counts
     util = rates.rates @ demands_cfg
     if np.count_nonzero(util >= 1.0):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DemandMatrix, _finite_nonneg
+from .model import DemandMatrix, _finite_nonneg, _typed
 from .planner import SlaThresholds
 
 
@@ -71,19 +71,19 @@ def gen_demands(law):
     return DemandMatrix(rng.uniform(0.0, 1.0, size=(C, K)) * bounds[:, np.newaxis])
 
 
-def default_law(num_classes, horizon, seed, base_rate=1.5, amplitude=0.8,
-                perturbation_sd=0.1, perturbation_persistence=0.8):
-    """Default experiment law: equal base rates, class-dependent periods
-    horizon/(c+1) so every class oscillates differently, random phases."""
+def default_law(num_classes, horizon, seed):
+    """Default experiment law: base rate 1.5, amplitude 0.8, periods
+    horizon/(c+1) so every class oscillates differently, random phases, and
+    AR(1) perturbation sd 0.1 with persistence 0.8."""
     rng = np.random.default_rng(seed)
     c_idx = np.arange(1, num_classes + 1, dtype=float)
     return WorkloadLaw(
-        base_rates=np.full(num_classes, float(base_rate)),
-        amplitudes=np.full(num_classes, float(amplitude)),
+        base_rates=np.full(num_classes, 1.5),
+        amplitudes=np.full(num_classes, 0.8),
         periods=horizon / (c_idx + 1.0),
         phases=rng.uniform(0.0, 2.0 * np.pi, size=num_classes),
-        perturbation_sd=float(perturbation_sd),
-        perturbation_persistence=float(perturbation_persistence),
+        perturbation_sd=0.1,
+        perturbation_persistence=0.8,
     )
 
 
@@ -119,6 +119,4 @@ def default_thresholds(demands, multiplier):
     Raw demands are checked as a DemandMatrix."""
     if not multiplier > 1:
         raise ValueError("multiplier must be > 1")
-    if not isinstance(demands, DemandMatrix):
-        demands = DemandMatrix(demands)
-    return SlaThresholds(multiplier * demands.demands.sum(axis=1))
+    return SlaThresholds(multiplier * _typed(DemandMatrix, demands).demands.sum(axis=1))

@@ -167,7 +167,7 @@ def test_07_qualitative_timeseries():
     t0 = time.perf_counter()
     spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=200, master_seed=7)
     rec = run_scenario(spec)
-    violations = sum(bool(np.any(s.predicted_response > s.thresholds + 1e-9))
+    violations = sum(bool(np.any(s.predicted_response > rec.thresholds.max_response + 1e-9))
                      for s in rec.steps)
     assert violations == 0
     lam = np.array([s.rates.sum() for s in rec.steps])

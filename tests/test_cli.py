@@ -19,6 +19,8 @@ NOISY_SWEEP_CONFIG = os.path.join(REPO, "configs", "noisy_sweep.json")
 
 
 NAN, INF = float("nan"), float("inf")
+# A JSON integer beyond float range: float() and numpy raise OverflowError.
+HUGE = int("9" * 400)
 
 # Out-of-range or misshapen values for a C=3 scenario; each must be a
 # config error before the scenario runs.
@@ -71,6 +73,9 @@ BAD_SCENARIO_VALUES = {
     "string-initial-config": {"initial_config": ["2", 1, 1, 1]},
     "string-max-response": {"sla": {"max_response": ["50", 50.0, 50.0]}},
     "string-relative-sd": {"noise": {"mode": "sampled", "relative_sd": "0.05"}},
+    "huge-multiplier": {"sla": {"multiplier": HUGE}},
+    "huge-base-rates": {"workload": {"base_rates": [HUGE, 1, 1]}},
+    "huge-demands": {"demands": [[HUGE, 0.5, 0.5, 0.5], [0.5] * 4, [0.5] * 4]},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
@@ -87,6 +92,8 @@ ERROR_KEY_PATHS = {
     "string-perturbation-sd": "workload.perturbation_sd", "string-demands": "demands",
     "string-initial-config": "initial_config", "string-max-response": "sla.max_response",
     "string-relative-sd": "noise.relative_sd", "int-out-dir": "out_dir",
+    "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
+    "huge-demands": "demands",
 }
 
 
@@ -284,6 +291,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
         assert "master_seed" not in caplog.text
 
+    def test_notice_once_per_sweep(self, tmp_path, caplog):
+        # Each cell reads the sla default, but its notice is logged once.
+        caplog.set_level(logging.INFO)
+        cfg = {"C_values": [2, 3], "K_values": [3], "seeds": [1, 2], "horizon": 2}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        assert caplog.text.count("sla.multiplier not set") == 1
+
     def test_whole_valued_floats(self, tmp_path):
         # 2.0 means 2: in a sweep and in a run, the grid, C, K, horizon, seeds
         # and noise seed written as floats give the same outputs as written
@@ -353,7 +369,8 @@ def test_output_bytes_pinned(tmp_path, name):
 
 # Each is a config error that names its key; out_dir is checked even
 # though --out overrides it.
-VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5}]
+VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5},
+                       {"rates": [HUGE, 1.0]}, {"targets": [[HUGE, 1, 2]]}]
 
 
 class TestValidate:

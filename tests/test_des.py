@@ -166,8 +166,9 @@ class TestValidation:
 
     def test_unknown_discipline(self):
         base = make_snapshot([1], [0.5], [[1.0]])
-        with pytest.raises(ValueError):
-            des_validate(base, [1], "lifo", run_length=100)
+        for name in ("lifo", "processor-sharing"):
+            with pytest.raises(ValueError):
+                des_validate(base, [1], name, run_length=100)
 
     @pytest.mark.parametrize("setting, value", [
         ("run_length", np.inf), ("run_length", np.nan), ("run_length", 0.0),
@@ -239,6 +240,12 @@ class TestStudentT:
         assert des._t975(df) == pytest.approx(self.SCIPY_T975[df], rel=1e-10, abs=0)
 
 
+def one_server_ps(arrivals, services):
+    """ps_departures on one server's sorted stream."""
+    fresh = des.busy_period_starts(arrivals, des.fcfs_departures(arrivals, services))
+    return des.ps_departures(arrivals, services, fresh)
+
+
 class TestKernel:
     """Exact departures and busy time on hand-computed inputs."""
 
@@ -249,14 +256,14 @@ class TestKernel:
 
     def test_ps_departures_shared_start(self):
         # Both served at rate 1/2 until t=2, when the short job is done.
-        dep = des.ps_departures(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+        dep = one_server_ps(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(dep, [2.0, 3.0], rtol=0, atol=1e-12)
 
     def test_ps_departures_arrival_during_service(self):
         # Job 1 runs alone on [0, 1] (2 units left), then both share the
         # server: job 2 leaves at 3, job 1 at 4; job 3 arrives to an idle
         # server.
-        dep = des.ps_departures(np.array([0.0, 1.0, 6.0]), np.array([3.0, 1.0, 0.5]))
+        dep = one_server_ps(np.array([0.0, 1.0, 6.0]), np.array([3.0, 1.0, 0.5]))
         np.testing.assert_allclose(dep, [4.0, 3.0, 6.5], rtol=0, atol=1e-12)
 
     def test_busy_time_clipped(self):
@@ -313,7 +320,7 @@ def _shared_periods(arrivals, services):
 
 
 def _assert_matches_reference(arrivals, services):
-    dep = des.ps_departures(arrivals, services)
+    dep = one_server_ps(arrivals, services)
     assert dep.shape == arrivals.shape and np.all(np.isfinite(dep))
     np.testing.assert_allclose(dep, reference_ps_departures(arrivals, services), rtol=1e-9)
 
@@ -354,7 +361,7 @@ class TestPsKernel:
         _assert_matches_reference(arrivals, services)
 
     def test_empty(self):
-        dep = des.ps_departures(np.empty(0), np.empty(0))
+        dep = one_server_ps(np.empty(0), np.empty(0))
         assert dep.shape == (0,)
 
     def test_instances_with_fresh(self):

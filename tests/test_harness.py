@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qnas import telemetry
+from qnas import cli, model, planner, telemetry
 from qnas.errors import OverloadedStation, UnattainableSla
 from qnas.model import Configuration, DemandMatrix
 from qnas.planner import SlaThresholds
-from qnas.simkit import ScenarioSpec, harness, run_scenario, subseed, summarize
+from qnas.simkit import ScenarioSpec, des, harness, run_scenario, subseed, summarize
 from qnas.telemetry import NoiseSpec
 from qnas.workload import WorkloadLaw
 
@@ -45,7 +45,7 @@ class TestRunScenario:
         spec = ScenarioSpec(num_classes=3, num_stations=5, horizon=50, master_seed=5)
         rec = run_scenario(spec)
         for s in rec.steps:
-            assert np.all(s.predicted_response <= s.thresholds + 1e-9)
+            assert np.all(s.predicted_response <= rec.thresholds.max_response + 1e-9)
 
     def test_allocation_tracks_load(self):
         spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=200, master_seed=7)
@@ -85,6 +85,21 @@ class TestSeams:
     """perfbench times the loop by patching harness.observe,
     harness.plan_step and telemetry.make_snapshot by name, so the loop must
     reach each through its module global."""
+
+    def test_perfbench_names_exist(self):
+        # Every function perfbench calls or patches by name; a missing one
+        # fails its run, traced or not.
+        seams = {cli: ["main", "run_scenario", "write_csv"],
+                 harness: ["gen_demands", "default_law", "gen_arrival_series",
+                           "default_thresholds", "observe", "plan_step"],
+                 telemetry: ["make_snapshot"],
+                 planner: ["acquire", "release", "rescale_snapshot", "predict_response"],
+                 model: ["capacity_floor", "make_snapshot", "predict_response",
+                         "rescale_snapshot"],
+                 des: ["des_loop", "des_validate"]}
+        missing = ["%s.%s" % (module.__name__, name) for module, names in seams.items()
+                   for name in names if not callable(getattr(module, name, None))]
+        assert missing == []
 
     def test_each_seam_once_per_step(self, monkeypatch):
         events = []
@@ -146,6 +161,14 @@ class TestSeams:
 
 
 class TestScenarioSpec:
+    # A fractional or boolean size would pass the range checks and fail
+    # inside numpy once the run starts.
+    @pytest.mark.parametrize("sizes", [(2.5, 3, 4), (2, 3.5, 4), (2, 3, 4.5), (True, 3, 4),
+                                       (2, True, 4), (2, 3, True)])
+    def test_sizes_must_be_integers(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ScenarioSpec(*sizes)
+
     # Each input must fit C=2 classes and K=3 stations; a misfit is refused
     # at construction, not broadcast or left to fail mid-run.
     @pytest.mark.parametrize("kwargs", [

@@ -1,8 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qnas import planner
 from qnas.errors import InfeasibleConfiguration, IterationCap, UnattainableSla
 from qnas.model import (
     Configuration,
@@ -134,12 +136,17 @@ def assert_same_decisions(base, sla, extra=0):
     assert got_iters == want_iters
 
 
-def composed_plan_step(base, sla, iteration_cap=DEFAULT_ITERATION_CAP):
+def capped(cap):
+    """The planner's iteration cap set to `cap` inside a with block."""
+    return mock.patch.object(planner, "DEFAULT_ITERATION_CAP", cap)
+
+
+def composed_plan_step(base, sla):
     """plan_step from its public parts: acquire, re-reference the snapshot
     at the acquired configuration, release, predict at the result."""
-    acquired, acq_iters = acquire(base, sla, iteration_cap)
+    acquired, acq_iters = acquire(base, sla)
     rebased = rescale_snapshot(base, acquired)
-    released, rel_iters = release(rebased, sla, iteration_cap)
+    released, rel_iters = release(rebased, sla)
     rt = predict_response(rebased, released)
     feasible = bool(np.all(rt.per_class <= sla.max_response))
     return PlanOutcome(released, acq_iters, rel_iters, rt, feasible)
@@ -162,13 +169,15 @@ def assert_same_plan(base, sla, caps=False):
     if caps:
         top = max(want.acquire_iterations, want.release_iterations)
         for cap in range(top):
-            with pytest.raises(IterationCap) as raised:
-                plan_step(base, sla, cap)
-            with pytest.raises(IterationCap) as expected:
-                composed_plan_step(base, sla, cap)
+            with capped(cap):
+                with pytest.raises(IterationCap) as raised:
+                    plan_step(base, sla)
+                with pytest.raises(IterationCap) as expected:
+                    composed_plan_step(base, sla)
             assert str(raised.value) == str(expected.value)
-        np.testing.assert_array_equal(plan_step(base, sla, top).new_config.counts,
-                                      want.new_config.counts)
+        with capped(top):
+            got = plan_step(base, sla)
+        np.testing.assert_array_equal(got.new_config.counts, want.new_config.counts)
 
 
 def brute_force_optimum(base, sla, cap_total):
@@ -374,11 +383,12 @@ class TestEquivalence:
         the count both return the same configuration."""
         want, want_iters = reference(base, sla)
         for cap in range(want_iters):
-            with pytest.raises(IterationCap):
-                plan(base, sla, cap)
+            with capped(cap), pytest.raises(IterationCap):
+                plan(base, sla)
             with pytest.raises(IterationCap):
                 reference(base, sla, cap)
-        got, got_iters = plan(base, sla, want_iters)
+        with capped(want_iters):
+            got, got_iters = plan(base, sla)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert got_iters == want_iters
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ class TestGenArrivalSeries:
         assert series.max() == pytest.approx(2.0 * 1.4, rel=1e-6)
 
     def test_nonnegative(self):
-        law = default_law(5, 200, seed=7, perturbation_sd=0.5)
+        law = replace(default_law(5, 200, seed=7), perturbation_sd=0.5)
         series = gen_arrival_series(law, 200, seed=8)
         assert np.all(series >= 0)
 
@@ -57,7 +59,7 @@ class TestGenArrivalSeries:
 
     def test_periodogram_peaks(self):
         horizon = 200
-        law = default_law(5, horizon, seed=11, perturbation_sd=0.1)
+        law = default_law(5, horizon, seed=11)
         series = gen_arrival_series(law, horizon, seed=12)
         freqs = np.fft.rfftfreq(horizon)
         for c in range(5):
