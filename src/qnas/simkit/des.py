@@ -87,6 +87,7 @@ def ps_departures(arrivals, services, fresh):
     arrival times and service times (contiguous float64 arrays): one or
     more servers' sorted streams one after another.  `fresh` marks the
     first job of each busy period (busy_period_starts on each stream).
+    Returns `services`, each spent service time overwritten by its departure.
 
     With n jobs present each is served at rate 1/n, so virtual time V runs
     at dV/dt = 1/n and a job arriving at virtual time V leaves when V
@@ -99,27 +100,26 @@ def ps_departures(arrivals, services, fresh):
     size = arrivals.size
     if size and not fresh[0]:
         raise ValueError("the first job must start a busy period")
-    dep = np.empty(size)
     starts = np.flatnonzero(fresh)
     lengths = np.diff(starts, append=size)
     alone = starts[lengths == 1]
-    dep[alone] = arrivals[alone] + services[alone]
+    services[alone] += arrivals[alone]
     shared = np.flatnonzero(lengths > 1)
     shared = shared[np.argsort(-lengths[shared], kind="stable")]
     starts, lengths = starts[shared], lengths[shared]
     heap = slice(HEAP_TAIL)
     for lo, hi in zip(starts[heap].tolist(), (starts[heap] + lengths[heap]).tolist()):
-        dep[lo:hi] = _ps_heap(arrivals[lo:hi], services[lo:hi])
+        _ps_heap(arrivals[lo:hi], services[lo:hi])
     for lo in range(HEAP_TAIL, starts.size, CHUNK):
-        _ps_lanes(arrivals, services, starts[lo:lo + CHUNK], lengths[lo:lo + CHUNK], dep)
-    return dep
+        _ps_lanes(arrivals, services, starts[lo:lo + CHUNK], lengths[lo:lo + CHUNK])
+    return services
 
 
 def _ps_heap(arrivals, services):
     """Processor-sharing departures of one sorted stream, O(log n) per event
-    from a heap of finish tags."""
-    dep = np.empty(arrivals.size)
-    out = memoryview(dep)  # item access without a list of float objects
+    from a heap of finish tags, each written over its job's service time,
+    which the job's arrival has read."""
+    out = memoryview(services)  # item access without a list of float objects
     heap = []
     t = v = 0.0
     for i, (a, s) in enumerate(zip(memoryview(arrivals), memoryview(services))):
@@ -141,20 +141,19 @@ def _ps_heap(arrivals, services):
         heapq.heappop(heap)
         out[j] = t
         v = tag
-    return dep
 
 
-def _ps_lanes(arrivals, services, starts, lengths, dep):
-    """Write into dep the processor-sharing departures of the busy periods
-    arrivals[b:b + m] for b, m in zip(starts, lengths), lengths descending
-    and at least 2.
+def _ps_lanes(arrivals, services, starts, lengths):
+    """Write over services[b:b + m] the processor-sharing departures of the
+    busy periods arrivals[b:b + m] for b, m in zip(starts, lengths),
+    lengths descending and at least 2.
 
     Each busy period is a lane, and each numpy step advances every active
     lane by one event: its next arrival, or else the departure of its
     smallest finish tag if that comes first or at the same time.  A lane
     of m jobs takes its first arrival before the loop and its other 2m - 1
     events in 2m - 1 steps, so the active lanes are always a prefix.  Row
-    l of the flat tables `tags` and `jobs` holds lane l's finish tags and
+    l of the 2-D tables `tags` and `jobs` holds lane l's finish tags and
     job indices in any of its columns; a free column holds tag inf.
 
     The arithmetic is the heap loop's, event by event.  Where an FCFS
@@ -162,8 +161,9 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
     before its last arrival: its next event is then that arrival, and
     `share` keeps the empty lane from dividing by zero.  Its smallest tag
     is then column 0, which an arrival fills whenever it is free, so it
-    holds the job index of that next arrival; that job's own departure
-    overwrites the provisional inf written for it.
+    holds the job index of that next arrival.  Each step therefore reads
+    the arriving job's service time before it writes the provisional inf
+    over it, and that job's own departure overwrites the inf.
     """
     lanes = starts.size
     # Each lane's arrivals with an inf after them, so a lane past its last
@@ -178,10 +178,10 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
     v = np.zeros(lanes)
     n = np.ones(lanes)  # jobs present
     width = TAG_WIDTH
-    tags = np.full(lanes * width, np.inf)
-    tags[::width] = services[starts]
-    jobs = np.zeros(lanes * width, dtype=np.int64)
-    jobs[::width] = starts
+    tags = np.full((lanes, width), np.inf)
+    tags[:, 0] = services[starts]
+    jobs = np.zeros((lanes, width), dtype=np.int64)
+    jobs[:, 0] = starts
     ends = 2 * lengths - 1  # lane l is active while step < ends[l]
     active = lanes
     step = check = 0
@@ -192,13 +192,16 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
                 # any lane can fill its row.
                 most = int(n[:active].max())
                 if most == width:
-                    tags = _widen(tags, active, width, np.inf)
-                    jobs = _widen(jobs, active, width, 0)
-                    width *= 2
+                    width *= 2  # rows twice as wide, the new columns free
+                    wide_tags = np.full((active, width), np.inf)
+                    wide_tags[:, :most] = tags[:active]
+                    wide_jobs = np.zeros((active, width), dtype=np.int64)
+                    wide_jobs[:, :most] = jobs[:active]
+                    tags, jobs = wide_tags, wide_jobs
                 check = step + width - most
             stop = min(int(ends[active - 1]), check)
-            table = tags[:active * width].reshape(active, width)
-            row = np.arange(0, active * width, width)
+            table = tags[:active]
+            row = np.arange(0, active * width, width)  # flat index of column 0
             tv, vv, nv, pv, ov = t[:active], v[:active], n[:active], pos[:active], offset[:active]
             for _ in range(step, stop):
                 low = table.argmin(axis=1)
@@ -206,6 +209,8 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
                 free = table.argmax(axis=1)  # the first inf
                 free += row
                 tag = tags.take(low)
+                job = pv + ov
+                service = services.take(job, mode="clip")
                 share = np.maximum(nv, 1.0)
                 finish = tag - vv
                 finish *= share
@@ -214,33 +219,23 @@ def _ps_lanes(arrivals, services, starts, lengths, dep):
                 leave = finish <= arrival
                 # A lane that takes an arrival writes a provisional time for
                 # its smallest tag; that job's own departure overwrites it.
-                dep[jobs.take(low)] = finish
+                services[jobs.take(low)] = finish
                 gap = arrival - tv
                 gap /= share
                 vv += gap
                 np.putmask(vv, leave, tag)
                 np.minimum(finish, arrival, out=tv)
-                job = pv + ov
-                tag = services.take(job, mode="clip")
-                tag += vv
-                np.putmask(tag, leave, np.inf)
+                service += vv
+                np.putmask(service, leave, np.inf)
                 np.putmask(free, leave, low)  # a leaving lane frees low
-                tags[free] = tag
-                jobs[free] = job
+                tags.put(free, service)
+                jobs.put(free, job)
                 enter = ~leave
                 nv += enter
                 nv -= leave
                 pv += enter
             step = stop
             active = int(np.count_nonzero(ends[:active] > step))
-
-
-def _widen(table, rows, width, fill):
-    """The first `rows` rows of a flat table `width` columns wide, in rows
-    twice as wide with `fill` in the new columns."""
-    wide = np.full((rows, 2 * width), fill, dtype=table.dtype)
-    wide[:, :width] = table[:rows * width].reshape(rows, width)
-    return wide.reshape(-1)
 
 
 def busy_time(fcfs_dep, services, warmup, run_length):
@@ -264,8 +259,10 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
     batches       : number of batch means per statistic (at least 2)
 
     Returns
-      completions  : per class, (response, time) of every job that leaves the
-                     network by run_length
+      response     : (C,) batch-means response of the jobs that leave the
+                     network inside [warmup, run_length]; NaN if none does
+      response_hw  : (C,) its 95% half-width
+      completions  : (C,) the number of those jobs
       residence    : (C, K) batch-means residence per visit of class c to
                      station k, over the visits that end inside
                      [warmup, run_length]; NaN where class c skips station k
@@ -275,10 +272,10 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
       busy         : (I,) busy time of each instance inside [warmup, run_length]
       visits_ci    : (C, I) arrivals of class c at instance i inside
                      [warmup, run_length]
-    A job still in the network at run_length leaves no completion record.
-    Each station's visits are reduced to batch statistics as soon as its
-    departures are known, so memory holds one station's working arrays and
-    the jobs still in the network, not a record of every visit.
+    Each station's visits, and each class's completions, are reduced to
+    batch statistics as soon as their departures are known, so memory holds
+    one station's working arrays and the jobs still in the network, not a
+    record of every visit or completion.
     """
     rng = np.random.default_rng(seed)
     C, K = service_means.shape
@@ -321,10 +318,12 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
                 s[lo:hi] = fcfs  # over the service times, now spent
             else:
                 fresh[lo:hi] = busy_period_starts(a[lo:hi], fcfs)
+        if discipline == PS:
+            ps_departures(a, s, fresh)  # over the service times, as FCFS
         # The departures, back in class order, take the place of the sorted
         # arrivals.
         dep = a
-        dep[order] = s if discipline == FCFS else ps_departures(a, s, fresh)
+        dep[order] = s
         del a, s, fresh, order, bounds, fcfs
         lo = 0
         for c in users:
@@ -341,8 +340,16 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
             at[c] = left
             lo = hi
         del dep, d_c, done, stay, keep
-    completions = [(at[c] - start[c], at[c]) for c in range(C)]
-    return completions, residence, residence_hw, departures, busy, visits_ci
+    response = np.full(C, np.nan)
+    response_hw = np.full(C, np.nan)
+    completions = np.zeros(C, dtype=np.int64)
+    for c in range(C):
+        keep = at[c] >= warmup
+        left = at[c][keep]
+        completions[c] = left.size
+        response[c], response_hw[c] = _batch_stats(
+            left - start[c][keep], left, warmup, run_length, batches)
+    return response, response_hw, completions, residence, residence_hw, departures, busy, visits_ci
 
 
 @functools.cache
@@ -406,8 +413,8 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
         raise ValueError("run_length must be finite and > 0, got %r" % (run_length,))
     if not 0 <= warmup_fraction < 1:
         raise ValueError("warmup fraction must lie in [0, 1)")
-    if not (isinstance(batches, numbers.Integral) and batches >= 2):
-        raise ValueError("batches must be an integer >= 2, got %r" % (batches,))
+    if not (isinstance(batches, numbers.Integral) and 2 <= batches < 2 ** 63):
+        raise ValueError("batches must be an integer in [2, 2**63), got %r" % (batches,))
     # A whole float is its integer; a fractional or non-finite one is not.
     if not (isinstance(seed, numbers.Integral)
             or isinstance(seed, numbers.Real) and float(seed).is_integer()) or seed < 0:
@@ -416,22 +423,13 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     total_d = base.total_demands()
     # Raises InfeasibleConfiguration at or below the floor.
     residence_table(total_d, capacity_floor(base), config.counts)
-    C, K = total_d.shape
+    K = total_d.shape[1]
     counts = config.counts
     warmup = warmup_fraction * run_length
-    completions_rec, residence, residence_hw, _, busy, visits_ci = des_loop(
+    response, response_hw, completions, residence, residence_hw, _, busy, visits_ci = des_loop(
         base.rates.rates.astype(np.float64), total_d.astype(np.float64),
         counts.astype(np.int64), discipline, float(run_length),
         float(warmup), seed, batches)
-
-    response = np.full(C, np.nan)
-    response_hw = np.full(C, np.nan)
-    completions = np.zeros(C, dtype=np.int64)
-    for c, (resp, time) in enumerate(completions_rec):
-        keep = time >= warmup
-        completions[c] = int(keep.sum())
-        response[c], response_hw[c] = _batch_stats(
-            resp[keep], time[keep], warmup, run_length, batches)
 
     window = run_length - warmup
     util_inst = busy / window

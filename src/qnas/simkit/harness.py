@@ -49,11 +49,12 @@ class ScenarioSpec:
     poisson_window: Optional[float] = None      # rates used as generated if None
 
     def __post_init__(self):
-        # A float or bool size would fail inside numpy once the run starts.
+        # A float, bool or beyond-int64 size would fail inside numpy mid-run.
         for name in ("num_classes", "num_stations", "horizon"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and 1 <= value < 2 ** 63):
+                raise ValueError("%s must be an integer in [1, 2**63), got %r" % (name, value))
         # Out-of-range knobs fail here, not once the run has started; NaN
         # fails both bounds.
         if self.poisson_window is not None and not 0 < self.poisson_window < np.inf:

@@ -76,6 +76,11 @@ BAD_SCENARIO_VALUES = {
     "huge-multiplier": {"sla": {"multiplier": HUGE}},
     "huge-base-rates": {"workload": {"base_rates": [HUGE, 1, 1]}},
     "huge-demands": {"demands": [[HUGE, 0.5, 0.5, 0.5], [0.5] * 4, [0.5] * 4]},
+    # A size must also fit in int64, though a whole number of any width reads.
+    "huge-horizon": {"horizon": HUGE},
+    "int64-overflow-horizon": {"horizon": 2 ** 63},
+    "huge-C": {"C": HUGE},
+    "huge-K": {"K": HUGE},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
@@ -93,7 +98,8 @@ ERROR_KEY_PATHS = {
     "string-initial-config": "initial_config", "string-max-response": "sla.max_response",
     "string-relative-sd": "noise.relative_sd", "int-out-dir": "out_dir",
     "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
-    "huge-demands": "demands",
+    "huge-demands": "demands", "huge-horizon": "horizon",
+    "int64-overflow-horizon": "horizon",
 }
 
 
@@ -370,7 +376,8 @@ def test_output_bytes_pinned(tmp_path, name):
 # Each is a config error that names its key; out_dir is checked even
 # though --out overrides it.
 VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5},
-                       {"rates": [HUGE, 1.0]}, {"targets": [[HUGE, 1, 2]]}]
+                       {"rates": [HUGE, 1.0]}, {"targets": [[HUGE, 1, 2]]},
+                       {"batches": HUGE}, {"batches": 2 ** 63}]
 
 
 class TestValidate:

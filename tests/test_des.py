@@ -172,7 +172,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("setting, value", [
         ("run_length", np.inf), ("run_length", np.nan), ("run_length", 0.0),
-        ("batches", 2.5), ("batches", 1)])
+        ("batches", 2.5), ("batches", 1), ("batches", 2 ** 63)])
     def test_bad_setting_named(self, setting, value):
         base = make_snapshot([1], [0.5], [[1.0]])
         kwargs = {"run_length": 100.0, setting: value}
@@ -240,10 +240,40 @@ class TestStudentT:
         assert des._t975(df) == pytest.approx(self.SCIPY_T975[df], rel=1e-10, abs=0)
 
 
+class TestBatchStats:
+    """_batch_stats, the one reducer of every DES statistic, on [0, 10] in
+    two batches."""
+
+    def test_no_values(self):
+        mean, hw = des._batch_stats(np.empty(0), np.empty(0), 0.0, 10.0, 2)
+        assert np.isnan(mean) and np.isnan(hw)
+
+    def test_one_batch(self):
+        mean, hw = des._batch_stats(np.array([1.0, 2.0, 6.0]), np.array([0.0, 1.0, 4.0]),
+                                    0.0, 10.0, 2)
+        assert (mean, hw) == (3.0, np.inf)
+
+    def test_two_batches(self):
+        # Batch means 2 and 6: the estimate is their mean, not the mean of
+        # the three values, and t(0.975, 1) = tan(0.475 pi).
+        mean, hw = des._batch_stats(np.array([1.0, 3.0, 6.0]), np.array([0.0, 4.0, 5.0]),
+                                    0.0, 10.0, 2)
+        assert mean == 4.0
+        assert hw == pytest.approx(12.706204736174707 * np.std([2.0, 6.0], ddof=1) / np.sqrt(2),
+                                   rel=1e-12)
+
+    def test_end_time_in_last_batch(self):
+        values = np.array([1.0, 5.0])
+        at_end = des._batch_stats(values, np.array([0.0, 10.0]), 0.0, 10.0, 2)
+        assert at_end == des._batch_stats(values, np.array([0.0, 9.0]), 0.0, 10.0, 2)
+        assert at_end[0] == 3.0 and np.isfinite(at_end[1])
+
+
 def one_server_ps(arrivals, services):
-    """ps_departures on one server's sorted stream."""
+    """ps_departures on one server's sorted stream, leaving `services` as
+    it was."""
     fresh = des.busy_period_starts(arrivals, des.fcfs_departures(arrivals, services))
-    return des.ps_departures(arrivals, services, fresh)
+    return des.ps_departures(arrivals, services.copy(), fresh)
 
 
 class TestKernel:
@@ -287,7 +317,7 @@ class TestKernel:
         stations = {0: slice(0, 2), 2: slice(3, 4)}
         queued = 0
         for seed in range(5):
-            completions, residence, _, departures, busy, visits_ci = des.des_loop(
+            response, _, completions, residence, _, departures, busy, visits_ci = des.des_loop(
                 rates, means, counts, discipline, 200.0, 0.0, seed, 10)
             assert np.all(busy <= 200.0) and np.all(visits_ci[:, 2] == 0)
             for c in range(2):
@@ -296,13 +326,13 @@ class TestKernel:
                 # Every departure from station 0 by run_length arrives at
                 # station 2, and every departure from station 2 completes.
                 assert visits_ci[c, stations[2]].sum() == departures[c, 0]
-                assert completions[c][0].size == departures[c, 2]
+                assert completions[c] == departures[c, 2]
                 held = [visits_ci[c, sl].sum() - departures[c, k]
                         for k, sl in stations.items()]
                 assert min(held) >= 0
                 in_network = sum(held)
-                assert completions[c][0].size + in_network == arrived
-                assert np.all(completions[c][0] >= 0)
+                assert completions[c] + in_network == arrived
+                assert completions[c] > 0 and response[c] >= 0
                 queued += in_network
         assert queued > 0
 
@@ -403,6 +433,17 @@ class TestPsKernel:
         _assert_matches_reference(a, s)
 
 
+class TestPsKernelSizes(TestPsKernel):
+    """TestPsKernel again with other kernel sizes: no heap tail, or chunks of
+    a few lanes, and one-column tables that every shared lane widens."""
+
+    @pytest.fixture(autouse=True, params=[(0, 7, 1), (32, 3, 1)],
+                    ids=["tail0-chunk7-width1", "tail32-chunk3-width1"])
+    def sizes(self, request, monkeypatch):
+        for name, value in zip(("HEAP_TAIL", "CHUNK", "TAG_WIDTH"), request.param):
+            monkeypatch.setattr(des, name, value)
+
+
 def _demo_base():
     path = Path(__file__).resolve().parent.parent / "configs" / "validate_demo.json"
     cfg = json.loads(path.read_text())
@@ -446,9 +487,10 @@ class TestMemory:
     # Peak traced memory of one des_validate on the demo at [2, 1, 2], run
     # length 6e4, seed 0.  numpy reports its buffers to tracemalloc, so the
     # peak repeats exactly for one numpy version: with numpy 2.4.6 it is
-    # 12.6 MiB under PS and 9.6 MiB under FCFS, against 16.9 and 14.3 MiB
-    # when every visit record was kept until des_validate reduced it.
-    @pytest.mark.parametrize("discipline, limit_mib", [("ps", 15), ("fcfs", 12)])
+    # 11.3 MiB under PS and 9.6 MiB under FCFS.  With a PS departures array
+    # beside the service times and a record per completion it was 12.6 MiB
+    # under PS, and with a record per visit as well 16.9 and 14.3 MiB.
+    @pytest.mark.parametrize("discipline, limit_mib", [("ps", 12), ("fcfs", 12)])
     def test_peak_holds_one_station(self, discipline, limit_mib):
         base = _demo_base()
         des_validate(base, [2, 1, 2], discipline, run_length=100.0, seed=0)

@@ -161,10 +161,11 @@ class TestSeams:
 
 
 class TestScenarioSpec:
-    # A fractional or boolean size would pass the range checks and fail
-    # inside numpy once the run starts.
+    # A fractional or boolean size, or one beyond int64, would pass the
+    # range checks and fail inside numpy once the run starts.
     @pytest.mark.parametrize("sizes", [(2.5, 3, 4), (2, 3.5, 4), (2, 3, 4.5), (True, 3, 4),
-                                       (2, True, 4), (2, 3, True)])
+                                       (2, True, 4), (2, 3, True), (2 ** 63, 3, 4),
+                                       (2, int("9" * 400), 4), (2, 3, 2 ** 63)])
     def test_sizes_must_be_integers(self, sizes):
         with pytest.raises(ValueError, match="must be an integer"):
             ScenarioSpec(*sizes)
