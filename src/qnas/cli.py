@@ -224,14 +224,21 @@ def _parse_scenario(v):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_config(path):
+def _load_config(args):
+    """The config object of --config, with --seed, if given, as its
+    master_seed."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("invalid JSON: %s" % exc) from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be an object")
+    if args.seed is not None:
+        cfg["master_seed"] = args.seed
+    return cfg
 
 
 def _out_dir(args, v):
@@ -274,10 +281,7 @@ def _write_run_outputs(record, out_dir):
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    v = _Block(_SCENARIO, cfg)
+    v = _Block(_SCENARIO, _load_config(args))
     spec = _parse_scenario(v)
     out_dir = _out_dir(args, v)
     try:
@@ -295,11 +299,11 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     grid = _Block(_SWEEP, {k: v for k, v in cfg.items() if k not in _CELL_KEYS}, "sweep config")
     c_values, k_values = grid["C_values"], grid["K_values"]
-    seeds = grid["seeds"] if "seeds" in grid else [
-        args.seed if args.seed is not None else grid["master_seed"]]
+    # --seed runs its one seed; listed seeds are still checked.
+    seeds = grid["seeds"] if "seeds" in grid and args.seed is None else [grid["master_seed"]]
     out_dir = _out_dir(args, grid)
     shared = {k: v for k, v in cfg.items() if k in _CELL_KEYS}
     noticed = set()  # so each default's notice is logged once, not once per cell
@@ -324,7 +328,7 @@ def cmd_sweep(args):
 
 
 def cmd_validate(args):
-    v = _Block(_VALIDATE, _load_config(args.config), "validate config")
+    v = _Block(_VALIDATE, _load_config(args), "validate config")
     try:
         ref = Configuration(v["ref_config"])
         targets = [Configuration(t) for t in v["targets"]]
@@ -332,7 +336,7 @@ def cmd_validate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     run_length = v["run_length"]
-    seed = args.seed if args.seed is not None else v["master_seed"]
+    seed = v["master_seed"]
     disciplines = v["disciplines"]
     out_dir = _out_dir(args, v)
 
@@ -341,6 +345,13 @@ def cmd_validate(args):
     ps_failures = 0
     for target in targets:
         counts = target.counts.tolist()
+        try:
+            rt = predict_response(base, target)
+        except InfeasibleConfiguration as exc:
+            log.error("target %s: %s", counts, exc)
+            return EXIT_CONFIG
+        except ValueError as exc:  # a target of the wrong length
+            raise ConfigError(str(exc)) from exc
         for disc in disciplines:
             try:
                 result = des_validate(base, target, discipline=disc,
@@ -348,12 +359,8 @@ def cmd_validate(args):
                                       warmup_fraction=v["warmup_fraction"],
                                       batches=v["batches"],
                                       seed=subseed(seed, "des-%s-%s" % (disc, counts)))
-            except InfeasibleConfiguration as exc:
-                log.error("target %s: %s", counts, exc)
-                return EXIT_CONFIG
             except ValueError as exc:  # DES settings out of range
                 raise ConfigError(str(exc)) from exc
-            rt = predict_response(base, target)
             for c in range(base.num_classes):
                 for k in range(base.num_stations):
                     if total_d[c, k] <= 0:
@@ -387,7 +394,8 @@ def build_parser():
     for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("validate", cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="run with master seed SEED; a sweep runs SEED alone")
         p.add_argument("--out", default=None, help="output directory (default $QNAS_OUT or .)")
         # SUPPRESS: unless given here, keep the value of the top-level flag.
         p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)

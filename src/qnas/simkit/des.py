@@ -36,16 +36,19 @@ DISCIPLINES = (PS, FCFS)
 
 @dataclass(frozen=True)
 class DesResult:
-    """Measured quantities with 95% batch-means half-widths."""
+    """Measured quantities with 95% batch-means half-widths, each over the
+    window [warmup, run_length]; I is the total instance count."""
 
-    response: np.ndarray            # (C,) mean response per class
+    response: np.ndarray            # (C,) mean response of the jobs that leave
+                                    # in the window; NaN if none does
     response_hw: np.ndarray
-    residence: np.ndarray           # (C, K) mean residence per visit
+    residence: np.ndarray           # (C, K) mean residence of the visits that end
+                                    # in the window; NaN where class c skips k
     residence_hw: np.ndarray
     utilization: np.ndarray         # (K,) mean per-instance busy fraction
     utilization_per_instance: np.ndarray  # (I,)
-    visit_rates: np.ndarray         # (C, I) measured per-instance arrival rates
-    completions: np.ndarray         # (C,) post-warmup completion counts
+    visit_rates: np.ndarray         # (C, I) class-c arrivals per unit time at i
+    completions: np.ndarray         # (C,) the jobs that leave in the window
     run_length: float
     warmup: float
 
@@ -258,24 +261,11 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
     seed          : any non-negative integer, for np.random.default_rng
     batches       : number of batch means per statistic (at least 2)
 
-    Returns
-      response     : (C,) batch-means response of the jobs that leave the
-                     network inside [warmup, run_length]; NaN if none does
-      response_hw  : (C,) its 95% half-width
-      completions  : (C,) the number of those jobs
-      residence    : (C, K) batch-means residence per visit of class c to
-                     station k, over the visits that end inside
-                     [warmup, run_length]; NaN where class c skips station k
-      residence_hw : (C, K) its 95% half-width
-      departures   : (C, K) visits of class c to station k that end by
-                     run_length, warmup included
-      busy         : (I,) busy time of each instance inside [warmup, run_length]
-      visits_ci    : (C, I) arrivals of class c at instance i inside
-                     [warmup, run_length]
-    Each station's visits, and each class's completions, are reduced to
-    batch statistics as soon as their departures are known, so memory holds
-    one station's working arrays and the jobs still in the network, not a
-    record of every visit or completion.
+    Returns the run's DesResult; its field comments say what each field
+    measures.  Each station's visits, and each class's completions, are
+    reduced to batch statistics as soon as their departures are known, so
+    memory holds one station's working arrays and the jobs still in the
+    network, not a record of every visit or completion.
     """
     rng = np.random.default_rng(seed)
     C, K = service_means.shape
@@ -284,7 +274,6 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
     visits_ci = np.zeros((C, offsets[-1]), dtype=np.int64)
     residence = np.full((C, K), np.nan)
     residence_hw = np.full((C, K), np.nan)
-    departures = np.zeros((C, K), dtype=np.int64)
     # start[c]: external arrival time of each class-c job still in the
     # network; at[c]: the time it reaches its next station, or leaves.
     start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
@@ -335,7 +324,6 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
             keep = left >= warmup
             residence[c, k], residence_hw[c, k] = _batch_stats(
                 stay[keep], left[keep], warmup, run_length, batches)
-            departures[c, k] = left.size
             start[c] = start[c][done]
             at[c] = left
             lo = hi
@@ -349,7 +337,11 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
         completions[c] = left.size
         response[c], response_hw[c] = _batch_stats(
             left - start[c][keep], left, warmup, run_length, batches)
-    return response, response_hw, completions, residence, residence_hw, departures, busy, visits_ci
+    window = run_length - warmup
+    util_inst = busy / window
+    utilization = np.array([util_inst[offsets[k]:offsets[k + 1]].mean() for k in range(K)])
+    return DesResult(response, response_hw, residence, residence_hw, utilization, util_inst,
+                     visits_ci / window, completions, run_length, warmup)
 
 
 @functools.cache
@@ -423,20 +415,5 @@ def des_validate(base, config, discipline="ps", run_length=1e4,
     total_d = base.total_demands()
     # Raises InfeasibleConfiguration at or below the floor.
     residence_table(total_d, capacity_floor(base), config.counts)
-    K = total_d.shape[1]
-    counts = config.counts
-    warmup = warmup_fraction * run_length
-    response, response_hw, completions, residence, residence_hw, _, busy, visits_ci = des_loop(
-        base.rates.rates.astype(np.float64), total_d.astype(np.float64),
-        counts.astype(np.int64), discipline, float(run_length),
-        float(warmup), seed, batches)
-
-    window = run_length - warmup
-    util_inst = busy / window
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    utilization = np.array([util_inst[offsets[k]:offsets[k + 1]].mean() for k in range(K)])
-    visit_rates = visits_ci / window
-
-    return DesResult(response, response_hw, residence, residence_hw,
-                     utilization, util_inst, visit_rates, completions,
-                     float(run_length), float(warmup))
+    return des_loop(base.rates.rates, total_d, config.counts, discipline, float(run_length),
+                    float(warmup_fraction * run_length), seed, batches)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qnas import cli
-from qnas.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNATTAINABLE, main
+from qnas.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNATTAINABLE, EXIT_VALIDATION, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_CONFIG = os.path.join(REPO, "configs", "demo.json")
@@ -35,6 +35,11 @@ BAD_SCENARIO_VALUES = {
     "short-max-response": {"sla": {"max_response": [5.0, 5.0]}},
     "bogus-noise-mode": {"noise": {"mode": "bogus"}},
     "multiplier-below-one": {"sla": {"multiplier": 0.5}},
+    "zero-max-response": {"sla": {"max_response": [0.0, 5.0, 5.0]}},
+    "negative-max-response": {"sla": {"max_response": [-1.0, 5.0, 5.0]}},
+    # A nested block must be an object.
+    "null-workload": {"workload": None},
+    "scalar-sla": {"sla": 5},
     "no-stations": {"K": 0},
     "fractional-initial-config": {"initial_config": [1.9, 1, 1.5, 1]},
     "string-poisson-arrivals": {"poisson_arrivals": "false"},
@@ -52,6 +57,8 @@ BAD_SCENARIO_VALUES = {
     "inf-period": {"workload": {"base_rates": [1, 1, 1], "periods": [INF, 3, 3]}},
     "nan-phase": {"workload": {"base_rates": [1, 1, 1], "phases": [NAN, 0, 0]}},
     "inf-multiplier": {"sla": {"multiplier": INF}},
+    "nan-max-response": {"sla": {"max_response": [NAN, 5.0, 5.0]}},
+    "inf-max-response": {"sla": {"max_response": [INF, 5.0, 5.0]}},
     "inf-window": {"window": INF, "poisson_arrivals": True},
     "nan-window-poisson": {"window": NAN, "poisson_arrivals": True},
     # JSON true/false are not numbers, though int(), float() and numpy read
@@ -99,7 +106,7 @@ ERROR_KEY_PATHS = {
     "string-relative-sd": "noise.relative_sd", "int-out-dir": "out_dir",
     "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
     "huge-demands": "demands", "huge-horizon": "horizon",
-    "int64-overflow-horizon": "horizon",
+    "int64-overflow-horizon": "horizon", "null-workload": "workload", "scalar-sla": "sla",
 }
 
 
@@ -175,6 +182,10 @@ class TestRun:
         assert (out_a / "timeseries.csv").read_bytes() == (out_b / "timeseries.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
+    def test_summary_line(self, tmp_path, capsys):
+        assert main(["run", "--config", DEMO_CONFIG, "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == "C=2 K=3 total=15 static=15 ratio=1.000\n"
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNAS_OUT", str(tmp_path))
         rc = main(["run", "--config", DEMO_CONFIG, "--quiet"])
@@ -203,6 +214,48 @@ class TestRun:
         assert proc.returncode == EXIT_OK
         assert (proc.stdout, proc.stderr) == ("", "")
         assert (tmp_path / "summary.csv").exists()
+
+
+# Config files every command rejects as a config error before it runs.
+BAD_CONFIG_FILES = {"list-root": ("[1, 2]", "config must be an object"),
+                    "string-root": ('"x"', "config must be an object"),
+                    "invalid-json": ("{", "invalid JSON"),
+                    "unreadable": (None, "cannot read config")}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIG_FILES))
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_bad_config_file(tmp_path, caplog, command, name, seed):
+    text, message = BAD_CONFIG_FILES[name]
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out), "--quiet"] + seed)
+    assert rc == EXIT_CONFIG
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_seed_flag_sets_master_seed(tmp_path, command):
+    # --seed 7 runs as master_seed 7 would, with the same exit code and
+    # output bytes; a sweep runs seed 7 alone, in place of its listed seeds.
+    cfg, seeded = {
+        "run": ({"C": 3, "K": 4, "horizon": 4, "master_seed": 5}, {"master_seed": 7}),
+        "sweep": ({"C_values": [2], "K_values": [3], "horizon": 3, "seeds": [1, 2]},
+                  {"seeds": [7]}),
+        "validate": (dict(json.load(open(VALIDATE_CONFIG)), run_length=2000), {"master_seed": 7}),
+    }[command]
+    outputs = []
+    for config, flag in ((cfg, ["--seed", "7"]), (dict(cfg, **seeded), [])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / str(len(outputs))
+        rc = main([command, "--config", str(path), "--out", str(out), "--quiet"] + flag)
+        outputs.append((rc, sorted((f.name, f.read_bytes()) for f in out.iterdir())))
+    assert outputs[0] == outputs[1]
 
 
 def test_imports_without_scipy():
@@ -287,6 +340,16 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
         if "out_dir" in override:
             assert "out_dir" in caplog.text
+
+    def test_seed_flag_checks_listed_seeds(self, tmp_path):
+        # --seed replaces the seeds to run, but a listed one is checked all
+        # the same.
+        cfg = {"C_values": [2], "K_values": [3], "horizon": 3, "seeds": ["x"]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet", "--seed", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_seeds_need_no_master_seed(self, tmp_path, caplog):
         # Listed seeds replace the master seed, so its default is not logged.
@@ -392,13 +455,32 @@ class TestValidate:
             rel = float(dict(zip(header, row))["rel_error"])
             assert rel <= 0.05
 
-    def test_overloaded_target(self, tmp_path):
+    def test_overloaded_target(self, tmp_path, monkeypatch):
+        # The analytic prediction finds the target infeasible before any
+        # simulation runs.
+        monkeypatch.setattr(cli, "des_validate", lambda *a, **k: pytest.fail("simulated"))
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg["targets"] = [[1, 1, 1]]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("disciplines, code", [(["ps"], EXIT_VALIDATION), (["fcfs"], EXIT_OK)])
+    def test_short_run_gate(self, tmp_path, disciplines, code):
+        # At run length 500 some rows miss the analytic residence by more
+        # than 5%: PS rows fail the gate (exit 4), FCFS rows, up to 36% off,
+        # do not, as the gate is PS-only.  validation.csv is written either way.
+        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg.update(run_length=500, master_seed=1, disciplines=disciplines)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert rc == code
+        header, rows = read_csv(tmp_path / "validation.csv")
+        errors = [float(dict(zip(header, row))["rel_error"]) for row in rows]
+        assert {row[0] for row in rows} == set(disciplines)
+        assert max(errors) > 0.05
 
     @pytest.mark.parametrize("override", [
         {"disciplines": ["lifo"]}, {"batches": 1}, {"warmup_fraction": 1.5},
@@ -407,7 +489,8 @@ class TestValidate:
         {"demands": [[0.5, 0.3], [0.5]]}, {"targets": [[2.9, 1, 2]]},
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
         {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
-        {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS])
+        {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS,
+        {"targets": [[2, 1]]}])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)

@@ -307,32 +307,31 @@ class TestKernel:
     @pytest.mark.parametrize("discipline", [des.PS, des.FCFS])
     def test_conservation(self, discipline):
         # Two used stations near saturation over a short run, so jobs are
-        # still queued at run_length.  With no warmup, visits_ci counts every
-        # arrival at an instance and `departures` every visit that ends, so
-        # the jobs in the network at run_length are the arrivals minus the
-        # departures, summed over stations.
+        # still queued at run_length.  With no warmup, visit_rates * 200
+        # counts every arrival at an instance.  Every departure from station
+        # 0 by run_length arrives at station 2, and every departure from
+        # station 2 completes, so the jobs in the network at run_length are
+        # the arrivals minus the departures, summed over stations.
         rates = np.array([0.6, 0.3])
         means = np.array([[1.0, 0.0, 0.8], [1.0, 0.0, 0.5]])
         counts = np.array([2, 1, 1])
         stations = {0: slice(0, 2), 2: slice(3, 4)}
         queued = 0
         for seed in range(5):
-            response, _, completions, residence, _, departures, busy, visits_ci = des.des_loop(
-                rates, means, counts, discipline, 200.0, 0.0, seed, 10)
-            assert np.all(busy <= 200.0) and np.all(visits_ci[:, 2] == 0)
+            r = des.des_loop(rates, means, counts, discipline, 200.0, 0.0, seed, 10)
+            assert (r.run_length, r.warmup) == (200.0, 0.0)
+            arrivals = np.rint(r.visit_rates * 200.0).astype(np.int64)
+            np.testing.assert_allclose(arrivals, r.visit_rates * 200.0, rtol=0, atol=1e-9)
+            assert np.all(r.utilization_per_instance <= 1.0) and np.all(arrivals[:, 2] == 0)
             for c in range(2):
-                assert departures[c, 1] == 0 and np.isnan(residence[c, 1])
-                arrived = visits_ci[c, stations[0]].sum()
-                # Every departure from station 0 by run_length arrives at
-                # station 2, and every departure from station 2 completes.
-                assert visits_ci[c, stations[2]].sum() == departures[c, 0]
-                assert completions[c] == departures[c, 2]
-                held = [visits_ci[c, sl].sum() - departures[c, k]
-                        for k, sl in stations.items()]
+                assert np.isnan(r.residence[c, 1])
+                arrived = arrivals[c, stations[0]].sum()
+                departed = {0: arrivals[c, stations[2]].sum(), 2: r.completions[c]}
+                held = [arrivals[c, sl].sum() - departed[k] for k, sl in stations.items()]
                 assert min(held) >= 0
                 in_network = sum(held)
-                assert completions[c] + in_network == arrived
-                assert completions[c] > 0 and response[c] >= 0
+                assert r.completions[c] + in_network == arrived
+                assert r.completions[c] > 0 and r.response[c] >= 0
                 queued += in_network
         assert queued > 0
 
@@ -487,9 +486,7 @@ class TestMemory:
     # Peak traced memory of one des_validate on the demo at [2, 1, 2], run
     # length 6e4, seed 0.  numpy reports its buffers to tracemalloc, so the
     # peak repeats exactly for one numpy version: with numpy 2.4.6 it is
-    # 11.3 MiB under PS and 9.6 MiB under FCFS.  With a PS departures array
-    # beside the service times and a record per completion it was 12.6 MiB
-    # under PS, and with a record per visit as well 16.9 and 14.3 MiB.
+    # 11.3 MiB under PS and 9.6 MiB under FCFS.
     @pytest.mark.parametrize("discipline, limit_mib", [("ps", 12), ("fcfs", 12)])
     def test_peak_holds_one_station(self, discipline, limit_mib):
         base = _demo_base()

@@ -296,6 +296,12 @@ class TestRelease:
                     "feasible single-decrement neighbor found at station %d" % k)
 
 
+@pytest.mark.parametrize("step", [acquire, release, plan_step])
+def test_threshold_length(demo, step):
+    with pytest.raises(ValueError, match="does not match C"):
+        step(demo, SlaThresholds([6.0, 5.0, 5.0]))
+
+
 class TestPlanStep:
     def test_demo_loose(self, demo):
         out = plan_step(demo, SlaThresholds([6.0, 5.0]))
