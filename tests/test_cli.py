@@ -285,6 +285,12 @@ def test_readme_lists_config_keys():
                       "validate": set(paths(cli._VALIDATE))}
 
 
+# A list that selects nothing would run nothing: each is a config error
+# that names its key.
+EMPTY_GRID_LISTS = [{"C_values": []}, {"K_values": []}, {"seeds": []}]
+EMPTY_VALIDATE_LISTS = [{"targets": []}, {"disciplines": []}]
+
+
 class TestSweep:
     def test_degenerate_grid_matches_run(self, tmp_path):
         cfg = json.load(open(DEMO_CONFIG))
@@ -330,7 +336,7 @@ class TestSweep:
         {"seeds": [1], "master_seed": "x"}, {"seeds": [1], "master_seed": 1.5},
         {"C_values": [True]}, {"seeds": [True]}, {"master_seed": False},
         # Checked even though --out overrides it.
-        {"out_dir": True}])
+        {"out_dir": True}, *EMPTY_GRID_LISTS])
     def test_malformed_grid(self, tmp_path, caplog, override):
         cfg = {"C_values": [2], "K_values": [3], "horizon": 3, **override}
         path = tmp_path / "sweep.json"
@@ -338,8 +344,8 @@ class TestSweep:
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
-        if "out_dir" in override:
-            assert "out_dir" in caplog.text
+        if "out_dir" in override or override in EMPTY_GRID_LISTS:
+            assert next(iter(override)) in caplog.text
 
     def test_seed_flag_checks_listed_seeds(self, tmp_path):
         # --seed replaces the seeds to run, but a listed one is checked all
@@ -405,6 +411,8 @@ class TestSweep:
 # bytes: the default workload law, the Poisson window and the noise seeds.
 with open(DEMO_CONFIG) as fh:
     DEMO = json.load(fh)
+with open(VALIDATE_CONFIG) as fh:
+    VALIDATE_DEMO = json.load(fh)
 POISSON_CONFIG = {"C": 3, "K": 4, "horizon": 10, "master_seed": 5,
                   "poisson_arrivals": True, "window": 20}
 OUTPUT_DIGESTS = {
@@ -420,6 +428,10 @@ OUTPUT_DIGESTS = {
         "summary.csv": "34ed4ad10e989ae289b84317d240144f7358e2fefa49fecdffeeeee93bec8e65"}),
     "noisy-sweep": ("sweep", NOISY_SWEEP_CONFIG, {
         "sweep.csv": "f9406ff07b7451795e4be391596521b0114f6364ba60e5159c496d88756e0a5b"}),
+    # Two targets, each simulated under both disciplines, row order included.
+    "validate": ("validate", dict(VALIDATE_DEMO, run_length=20000, targets=[[2, 1, 2], [3, 2, 3]],
+                                  disciplines=["ps", "fcfs"]), {
+        "validation.csv": "6e3bad20e5581a8313684f4046075b5c1ba1dcf15389d925cab88835a2ef1fd9"}),
 }
 
 
@@ -455,16 +467,39 @@ class TestValidate:
             rel = float(dict(zip(header, row))["rel_error"])
             assert rel <= 0.05
 
-    def test_overloaded_target(self, tmp_path, monkeypatch):
-        # The analytic prediction finds the target infeasible before any
-        # simulation runs.
+    @pytest.mark.parametrize("override", [
+        {"targets": [[1, 1, 1]]},
+        # A feasible target first: it is not simulated either.
+        {"targets": [[2, 1, 2], [1, 1, 1]]},
+        {"disciplines": ["ps", "bogus"]}], ids=["infeasible", "late-infeasible", "bogus-discipline"])
+    def test_overloaded_target(self, tmp_path, caplog, monkeypatch, override):
+        # Every target and discipline is checked, the targets by the
+        # analytic prediction, before any simulation runs.
         monkeypatch.setattr(cli, "des_validate", lambda *a, **k: pytest.fail("simulated"))
         cfg = json.load(open(VALIDATE_CONFIG))
-        cfg["targets"] = [[1, 1, 1]]
+        cfg.update(override)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_CONFIG
+        assert not (tmp_path / "validation.csv").exists()
+        assert ("[1, 1, 1]" if "targets" in override else "disciplines") in caplog.text
+
+    def test_unmeasured_row_fails_gate(self, tmp_path, caplog):
+        # Class 2 never arrives, so its residence is NaN.  Its PS rows fail
+        # the gate, reported apart from the rows above 5%; its FCFS rows are
+        # not gated.  validation.csv is still written.
+        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg.update(rates=[2.0, 0.0], run_length=20000, disciplines=["ps", "fcfs"])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_VALIDATION
+        assert "0 row(s) above 5%, 2 row(s) unmeasured" in caplog.text
+        header, rows = read_csv(tmp_path / "validation.csv")
+        unmeasured = [(row[0], row[3]) for row in rows
+                      if dict(zip(header, row))["simulated_R"] == "nan"]
+        assert unmeasured == [("ps", "2"), ("ps", "2"), ("fcfs", "2"), ("fcfs", "2")]
 
     @pytest.mark.parametrize("disciplines, code", [(["ps"], EXIT_VALIDATION), (["fcfs"], EXIT_OK)])
     def test_short_run_gate(self, tmp_path, disciplines, code):
@@ -490,7 +525,7 @@ class TestValidate:
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
         {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
         {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS,
-        {"targets": [[2, 1]]}])
+        {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)
@@ -503,7 +538,7 @@ class TestValidate:
             # Written as Infinity in the JSON; numpy's Poisson draw used to
             # report it as "lam value too large".
             assert "run_length" in caplog.text
-        if override in VALIDATE_KEY_ERRORS:
+        if override in VALIDATE_KEY_ERRORS + EMPTY_VALIDATE_LISTS:
             assert next(iter(override)) in caplog.text
 
     def test_mm1_closed_form(self, tmp_path):
