@@ -65,8 +65,9 @@ _Kind = namedtuple("_Kind", "what test convert")
 _Key = namedtuple("_Key", "kind default notice length", defaults=(_REQUIRED, False, None))
 
 
-def _list_of(test, least=0):
-    return lambda v: isinstance(v, list) and len(v) >= least and all(map(test, v))
+def _list_of(test, least=0, distinct=False):
+    return lambda v: (isinstance(v, list) and len(v) >= least and all(map(test, v))
+                      and not (distinct and any(x in v[:i] for i, x in enumerate(v))))
 
 
 def _array(v):
@@ -84,12 +85,14 @@ _STR = _Kind("a string", lambda v: isinstance(v, str), str)
 _VECTOR = _Kind("a list of numbers", _list_of(_REAL.test), _array)
 _MATRIX = _Kind("a list of equal-length lists of numbers",
                 lambda v: _list_of(_VECTOR.test)(v) and len({len(row) for row in v}) == 1, _array)
-# The lists that select what runs must select something.
+# The lists that select what runs must select something, and validate's
+# lists each thing once: a repeat would simulate it again with one seed.
 _WHOLES = _Kind("a non-empty list of whole numbers", _list_of(_WHOLE.test, 1),
                 lambda v: [int(x) for x in v])
-_VECTORS = _Kind("a non-empty list of lists of numbers", _list_of(_VECTOR.test, 1),
-                 lambda v: [*map(_array, v)])
-_DISCIPLINES = _Kind("a non-empty list of 'ps' or 'fcfs'", _list_of(DISCIPLINES.__contains__, 1), list)
+_VECTORS = _Kind("a non-empty list of distinct lists of numbers",
+                 _list_of(_VECTOR.test, 1, True), lambda v: [*map(_array, v)])
+_DISCIPLINES = _Kind("a non-empty list of distinct 'ps' or 'fcfs'",
+                     _list_of(DISCIPLINES.__contains__, 1, True), list)
 _MODE = _Kind("'none' or 'sampled'", lambda v: v in ("none", "sampled"), str)
 
 

@@ -5,43 +5,37 @@ class QnasError(Exception):
     """Base class for all qnas-specific errors."""
 
 
-class OverloadedStation(QnasError):
+class _IndexedError(QnasError):
+    """An error about some stations or classes, kept as a tuple in attribute
+    `_attr`; the default message lists them after `_prefix`."""
+
+    def __init__(self, indices, message=None):
+        indices = tuple(indices)
+        setattr(self, self._attr, indices)
+        if message is None:
+            message = "%s: %s" % (self._prefix, list(indices))
+        super().__init__(message)
+
+
+class OverloadedStation(_IndexedError):
     """A station's per-instance utilization is at or above 1, so residence
     times (and demand estimation) are undefined there."""
 
-    def __init__(self, stations, message=None):
-        self.stations = tuple(stations)
-        if message is None:
-            message = "overloaded station(s): %s" % (list(self.stations),)
-        super().__init__(message)
+    _attr, _prefix = "stations", "overloaded station(s)"
 
 
-class InfeasibleConfiguration(QnasError):
+class InfeasibleConfiguration(_IndexedError):
     """A target configuration is at or below the capacity floor on at least
     one station that carries load."""
 
-    def __init__(self, stations, message=None):
-        self.stations = tuple(stations)
-        if message is None:
-            message = (
-                "configuration at or below capacity floor on station(s): %s"
-                % (list(self.stations),)
-            )
-        super().__init__(message)
+    _attr, _prefix = "stations", "configuration at or below capacity floor on station(s)"
 
 
-class UnattainableSla(QnasError):
+class UnattainableSla(_IndexedError):
     """A response-time threshold lies at or below the asymptotic lower bound
     of the model, so no finite configuration can satisfy it."""
 
-    def __init__(self, classes, message=None):
-        self.classes = tuple(classes)
-        if message is None:
-            message = (
-                "SLA threshold unattainable for class(es): %s"
-                % (list(self.classes),)
-            )
-        super().__init__(message)
+    _attr, _prefix = "classes", "SLA threshold unattainable for class(es)"
 
 
 class IterationCap(QnasError):

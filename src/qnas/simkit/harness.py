@@ -145,16 +145,17 @@ def run_scenario(spec):
     # that it takes as they are; Poisson draws are finite and >= 0 as drawn.
     if not _finite_nonneg(series):
         raise ValueError("arrival rates must be finite and >= 0")
+    if spec.poisson_window is not None:
+        # Row t is step t's draw: numpy draws the elements in row order.
+        arr_rng = np.random.default_rng(subseed(spec.master_seed, "arrivals"))
+        series = arr_rng.poisson(series * spec.poisson_window) / spec.poisson_window
     _frozen(series)
     config = spec.initial_config or Configuration(np.ones(spec.num_stations, dtype=np.int64))
-    arr_rng = np.random.default_rng(subseed(spec.master_seed, "arrivals"))
     noise = spec.noise
 
     steps = []
     for t in range(spec.horizon):
         rates = series[t]
-        if spec.poisson_window is not None:
-            rates = _frozen(arr_rng.poisson(rates * spec.poisson_window) / spec.poisson_window)
         arrivals = _trusted(ArrivalRates, rates=rates)
         if noise.relative_sd > 0:
             # spec.noise was checked when it was built; only the seed changes.

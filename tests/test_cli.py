@@ -216,6 +216,18 @@ class TestRun:
         assert (tmp_path / "summary.csv").exists()
 
 
+def test_fresh_interpreter_exit_code(tmp_path):
+    # In a fresh interpreter, `python -m qnas.cli` exits with main()'s code.
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    proc = subprocess.run([sys.executable, "-m", "qnas.cli", "sweep", "--config", str(path),
+                           "--out", str(tmp_path / "out"), "--quiet"], env=src_env(),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == EXIT_CONFIG
+    assert "config must be an object" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # Config files every command rejects as a config error before it runs.
 BAD_CONFIG_FILES = {"list-root": ("[1, 2]", "config must be an object"),
                     "string-root": ('"x"', "config must be an object"),
@@ -289,6 +301,9 @@ def test_readme_lists_config_keys():
 # that names its key.
 EMPTY_GRID_LISTS = [{"C_values": []}, {"K_values": []}, {"seeds": []}]
 EMPTY_VALIDATE_LISTS = [{"targets": []}, {"disciplines": []}]
+# So is a validate selection listed twice, which would run twice with one
+# seed; a whole-valued float repeats the whole number.
+REPEATED_VALIDATE_LISTS = [{"targets": [[2, 1, 2], [2.0, 1, 2]]}, {"disciplines": ["ps", "ps"]}]
 
 
 class TestSweep:
@@ -525,7 +540,7 @@ class TestValidate:
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
         {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
         {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS,
-        {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS])
+        {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS, *REPEATED_VALIDATE_LISTS])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = json.load(open(VALIDATE_CONFIG))
         cfg.update({"run_length": 100}, **override)
@@ -538,7 +553,7 @@ class TestValidate:
             # Written as Infinity in the JSON; numpy's Poisson draw used to
             # report it as "lam value too large".
             assert "run_length" in caplog.text
-        if override in VALIDATE_KEY_ERRORS + EMPTY_VALIDATE_LISTS:
+        if override in VALIDATE_KEY_ERRORS + EMPTY_VALIDATE_LISTS + REPEATED_VALIDATE_LISTS:
             assert next(iter(override)) in caplog.text
 
     def test_mm1_closed_form(self, tmp_path):
