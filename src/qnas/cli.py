@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleConfiguration, QnasError, UnattainableSla
+from .errors import ConfigError, InfeasibleConfiguration, QnasError
 from .model import Configuration, DemandMatrix, make_snapshot, predict_response
 from .planner import SlaThresholds
 from .simkit import ScenarioSpec, des_validate, run_scenario, subseed
@@ -292,8 +292,9 @@ def cmd_run(args):
     out_dir = _out_dir(args, v)
     try:
         record = run_scenario(spec)
-    except UnattainableSla as exc:
-        log.error("unattainable SLA: %s", exc)
+    except QnasError as exc:
+        # The loop stopped: unattainable, overloaded, infeasible or capped.
+        log.error("run stopped: %s", exc)
         return EXIT_UNATTAINABLE
     _write_run_outputs(record, out_dir)
     if not args.quiet:

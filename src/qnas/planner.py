@@ -66,12 +66,14 @@ class PlanOutcome:
     feasible: bool
 
 
-def _terms(td, counts, floor):
-    """Station-major response terms D_ck*M_k*N_k / (N_k - floor_k), one row
-    per station; zero where a class skips the station.  Callers keep
-    N_k > floor_k on every station."""
-    counts = counts[:, np.newaxis]
-    return td * counts / (counts - floor[:, np.newaxis])
+def _terms(td, counts, floor, out=None):
+    """Response terms D_ck*M_k*N_k / (N_k - floor_k), zero where a class
+    skips the station, into `out` if given: station-major td with columns
+    counts[:, None] and floor[:, None], or one station's row td[k] with its
+    scalars.  Callers keep N_k > floor_k."""
+    out = np.multiply(td, counts, out=out)
+    out /= counts - floor
+    return out
 
 
 class _Greedy:
@@ -143,14 +145,13 @@ def _acquire_phase(g):
         if gain is None:
             # Terms at one more instance, and the gain of that instance;
             # built at the first move, since many steps need none.
-            more = _terms(td, fcounts + 1, floor)
-            gain = _terms(td, fcounts, floor) - more
+            more = _terms(td, (fcounts + 1)[:, None], floor[:, None])
+            gain = _terms(td, fcounts[:, None], floor[:, None]) - more
         j = int(gain[:, b].argmax())
         n = cnt[j] = cnt[j] + 1
         fcounts[j] = n
         row = td[j]
-        nxt = row * float(n + 1)
-        nxt /= n + 1 - fl[j]
+        nxt = _terms(row, float(n + 1), fl[j])
         np.subtract(more[j], nxt, out=gain[j])
         more[j] = nxt
         np.divide(row, n - fl[j], out=per_cs[:, j])
@@ -174,7 +175,7 @@ def _release_phase(g, d):
         return 0
     # Terms at the current counts and at one fewer instance (+inf: not a
     # candidate, or no longer one), the latter as _terms writes them.
-    terms = _terms(td, fcounts, floor)
+    terms = _terms(td, fcounts[:, None], floor[:, None])
     fewer = np.full_like(terms, np.inf)
     np.divide(td * less[:, np.newaxis], room[:, np.newaxis], out=fewer,
               where=candidates[:, np.newaxis])
@@ -224,8 +225,7 @@ def _release_phase(g, d):
             nxt = fewer[j]
             terms[j] = nxt
             if n - 1 > f:
-                np.multiply(row, float(n - 1), out=nxt)
-                nxt /= n - 1 - f
+                _terms(row, float(n - 1), f, out=nxt)
             else:
                 # At its floor: no longer a candidate.
                 left -= 1

@@ -320,23 +320,15 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
             d_c = dep[lo:hi]
             done = d_c <= run_length
             left = d_c[done]
-            stay = left - at[c][done]
-            keep = left >= warmup
             residence[c, k], residence_hw[c, k] = _batch_stats(
-                stay[keep], left[keep], warmup, run_length, batches)
+                left - at[c][done], left, warmup, run_length, batches)
             start[c] = start[c][done]
             at[c] = left
             lo = hi
-        del dep, d_c, done, stay, keep
-    response = np.full(C, np.nan)
-    response_hw = np.full(C, np.nan)
-    completions = np.zeros(C, dtype=np.int64)
-    for c in range(C):
-        keep = at[c] >= warmup
-        left = at[c][keep]
-        completions[c] = left.size
-        response[c], response_hw[c] = _batch_stats(
-            left - start[c][keep], left, warmup, run_length, batches)
+        del dep, d_c, done
+    completions = np.array([np.count_nonzero(t >= warmup) for t in at], dtype=np.int64)
+    response, response_hw = np.array([_batch_stats(t - s, t, warmup, run_length, batches)
+                                      for t, s in zip(at, start)]).reshape(C, 2).T
     window = run_length - warmup
     util_inst = busy / window
     utilization = np.array([util_inst[offsets[k]:offsets[k + 1]].mean() for k in range(K)])
@@ -371,18 +363,20 @@ def _t975(df):
 
 
 def _batch_stats(values, times, t0, t1, batches):
-    """Batch means by event time over [t0, t1]; returns (mean, halfwidth)."""
-    if values.size == 0:
-        return np.nan, np.nan
-    edges = np.linspace(t0, t1, batches + 1)
-    idx = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, batches - 1)
-    sums = np.bincount(idx, weights=values, minlength=batches)
-    cnts = np.bincount(idx, minlength=batches)
+    """Batch means by event time over [t0, t1]; returns (mean, halfwidth).
+    Batch i is bin i + 1: bin 0, the values timed before t0, is dropped,
+    and a time at t1 falls in the last batch."""
+    idx = np.searchsorted(np.linspace(t0, t1, batches + 1)[:-1], times, side="right")
+    sums = np.bincount(idx, weights=values, minlength=batches + 1)[1:]
+    cnts = np.bincount(idx, minlength=batches + 1)[1:]
     ok = cnts > 0
-    if ok.sum() < 2:
-        return float(values.mean()), np.inf
+    b = int(np.count_nonzero(ok))
+    if b == 0:
+        return np.nan, np.nan
+    if b == 1:
+        # np.mean sums pairwise, not in order as the bin's sum does.
+        return float(values[idx > 0].mean()), np.inf
     means = sums[ok] / cnts[ok]
-    b = means.size
     hw = _t975(b - 1) * means.std(ddof=1) / np.sqrt(b)
     return float(means.mean()), float(hw)
 

@@ -120,6 +120,11 @@ def src_env():
         [os.path.join(REPO, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def read_csv(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -158,12 +163,24 @@ class TestRun:
         assert rc == EXIT_CONFIG
 
     def test_unattainable_sla(self, tmp_path):
-        cfg = json.load(open(DEMO_CONFIG))
+        cfg = read_json(DEMO_CONFIG)
         cfg["sla"] = {"max_response": [1.0, 5.0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"])
         assert rc == EXIT_UNATTAINABLE
+
+    def test_overloaded_step(self, tmp_path, caplog):
+        # A capacity floor past 2**53 cannot be lifted above in float64, so
+        # the step's second observation is still overloaded.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"C": 1, "K": 2, "horizon": 2, "demands": [[1.0, 0.5]],
+                                    "workload": {"base_rates": [1e16]}}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_UNATTAINABLE
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "overloaded station" in errors[0]
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     @pytest.mark.parametrize("name", sorted(BAD_RUN_VALUES))
     def test_out_of_range_values(self, tmp_path, caplog, name):
@@ -195,7 +212,7 @@ class TestRun:
 
     def test_noise_without_mode(self, tmp_path, caplog):
         # A relative_sd with no mode would run noise-free; it must say so.
-        cfg = json.load(open(DEMO_CONFIG))
+        cfg = read_json(DEMO_CONFIG)
         cfg["noise"] = {"relative_sd": 0.05, "seed": 1}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -258,7 +275,7 @@ def test_seed_flag_sets_master_seed(tmp_path, command):
         "run": ({"C": 3, "K": 4, "horizon": 4, "master_seed": 5}, {"master_seed": 7}),
         "sweep": ({"C_values": [2], "K_values": [3], "horizon": 3, "seeds": [1, 2]},
                   {"seeds": [7]}),
-        "validate": (dict(json.load(open(VALIDATE_CONFIG)), run_length=2000), {"master_seed": 7}),
+        "validate": (dict(read_json(VALIDATE_CONFIG), run_length=2000), {"master_seed": 7}),
     }[command]
     outputs = []
     for config, flag in ((cfg, ["--seed", "7"]), (dict(cfg, **seeded), [])):
@@ -308,7 +325,7 @@ REPEATED_VALIDATE_LISTS = [{"targets": [[2, 1, 2], [2.0, 1, 2]]}, {"disciplines"
 
 class TestSweep:
     def test_degenerate_grid_matches_run(self, tmp_path):
-        cfg = json.load(open(DEMO_CONFIG))
+        cfg = read_json(DEMO_CONFIG)
         del cfg["C"], cfg["K"]
         cfg.update({"C_values": [2], "K_values": [3], "seeds": [0]})
         path = tmp_path / "sweep.json"
@@ -321,7 +338,7 @@ class TestSweep:
         assert row["inst_min"] == row["inst_max"] == "5"
 
     def test_failing_cell_isolated(self, tmp_path):
-        cfg = json.load(open(DEMO_CONFIG))
+        cfg = read_json(DEMO_CONFIG)
         del cfg["C"], cfg["K"]
         cfg["sla"] = {"max_response": [1.0, 5.0]}  # unattainable everywhere
         cfg.update({"C_values": [2], "K_values": [3], "seeds": [0]})
@@ -491,7 +508,7 @@ class TestValidate:
         # Every target and discipline is checked, the targets by the
         # analytic prediction, before any simulation runs.
         monkeypatch.setattr(cli, "des_validate", lambda *a, **k: pytest.fail("simulated"))
-        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg = read_json(VALIDATE_CONFIG)
         cfg.update(override)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -504,7 +521,7 @@ class TestValidate:
         # Class 2 never arrives, so its residence is NaN.  Its PS rows fail
         # the gate, reported apart from the rows above 5%; its FCFS rows are
         # not gated.  validation.csv is still written.
-        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg = read_json(VALIDATE_CONFIG)
         cfg.update(rates=[2.0, 0.0], run_length=20000, disciplines=["ps", "fcfs"])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -521,7 +538,7 @@ class TestValidate:
         # At run length 500 some rows miss the analytic residence by more
         # than 5%: PS rows fail the gate (exit 4), FCFS rows, up to 36% off,
         # do not, as the gate is PS-only.  validation.csv is written either way.
-        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg = read_json(VALIDATE_CONFIG)
         cfg.update(run_length=500, master_seed=1, disciplines=disciplines)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -542,7 +559,7 @@ class TestValidate:
         {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS,
         {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS, *REPEATED_VALIDATE_LISTS])
     def test_malformed_config(self, tmp_path, caplog, override):
-        cfg = json.load(open(VALIDATE_CONFIG))
+        cfg = read_json(VALIDATE_CONFIG)
         cfg.update({"run_length": 100}, **override)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

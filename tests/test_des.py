@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -242,16 +243,20 @@ class TestStudentT:
 
 class TestBatchStats:
     """_batch_stats, the one reducer of every DES statistic, on [0, 10] in
-    two batches."""
+    two batches.  A value timed before t0 counts in no batch."""
 
     def test_no_values(self):
         mean, hw = des._batch_stats(np.empty(0), np.empty(0), 0.0, 10.0, 2)
+        assert np.isnan(mean) and np.isnan(hw)
+        mean, hw = des._batch_stats(np.array([1.0, 2.0]), np.array([-3.0, -0.5]), 0.0, 10.0, 2)
         assert np.isnan(mean) and np.isnan(hw)
 
     def test_one_batch(self):
         mean, hw = des._batch_stats(np.array([1.0, 2.0, 6.0]), np.array([0.0, 1.0, 4.0]),
                                     0.0, 10.0, 2)
         assert (mean, hw) == (3.0, np.inf)
+        assert des._batch_stats(np.array([1.0, 50.0, 2.0, 6.0]), np.array([0.0, -1.0, 1.0, 4.0]),
+                                0.0, 10.0, 2) == (mean, hw)
 
     def test_two_batches(self):
         # Batch means 2 and 6: the estimate is their mean, not the mean of
@@ -261,6 +266,8 @@ class TestBatchStats:
         assert mean == 4.0
         assert hw == pytest.approx(12.706204736174707 * np.std([2.0, 6.0], ddof=1) / np.sqrt(2),
                                    rel=1e-12)
+        assert des._batch_stats(np.array([50.0, 1.0, 3.0, 6.0]), np.array([-1.0, 0.0, 4.0, 5.0]),
+                                0.0, 10.0, 2) == (mean, hw)
 
     def test_end_time_in_last_batch(self):
         values = np.array([1.0, 5.0])
@@ -480,6 +487,22 @@ class TestPinned:
                     digest.update(np.ascontiguousarray(getattr(r, field), dtype=np.float64).tobytes())
         assert digest.hexdigest() == (
             "1f120306091f67c25cfeb0a62559a4063cab214aed6b1a5566281c4b609d9e82")
+
+    def test_demo_edge_settings(self):
+        # One sha256 over the float64 bytes of every field of the demo at
+        # [2, 1, 2], run length 5e3, no warmup, 7 batches, PS then FCFS,
+        # taken before the binning dropped values timed before t0: t0 = 0,
+        # so nothing is dropped, and batch edges that are not whole numbers.
+        digest = hashlib.sha256()
+        base = _demo_base()
+        for discipline in ("ps", "fcfs"):
+            r = des_validate(base, [2, 1, 2], discipline, run_length=5e3,
+                             warmup_fraction=0.0, batches=7)
+            for field in dataclasses.fields(r):
+                digest.update(np.ascontiguousarray(getattr(r, field.name),
+                                                   dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "3ce825bbc69c406d6dd121a26e3614a82793d92a7592449e315d9b9b383d0561")
 
 
 class TestMemory:
