@@ -9,6 +9,7 @@ row; floats are printed with 9 significant digits.  Writes are atomic
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -256,11 +257,7 @@ SUMMARY_HEADER = ["C", "K", "acq_max", "acq_avg", "rel_max", "rel_avg",
 
 
 def _summary_row(C, K, summary):
-    return [C, K, summary.acquire_max, summary.acquire_avg,
-            summary.release_max, summary.release_avg,
-            summary.instances_min, summary.instances_max,
-            summary.instances_total, summary.static_total,
-            summary.dynamic_static_ratio]
+    return [C, K, *dataclasses.astuple(summary)]
 
 
 def _write_run_outputs(record, out_dir):
@@ -272,14 +269,12 @@ def _write_run_outputs(record, out_dir):
               + ["Rmax_%d" % (c + 1) for c in range(C)]
               + ["N_%d" % (k + 1) for k in range(K)]
               + ["total_instances", "acquire_iters", "release_iters"])
-    rows = []
-    for s in record.steps:
-        rows.append([s.step]
-                    + [float(v) for v in s.rates]
-                    + [float(v) for v in s.predicted_response]
-                    + [float(v) for v in record.thresholds.max_response]
-                    + [int(v) for v in s.config_after.counts]
-                    + [s.total_instances, s.acquire_iterations, s.release_iterations])
+    rmax = record.thresholds.max_response.tolist()
+    per_step = zip(record.rates.tolist(), record.predicted_response.tolist(),
+                  record.counts.tolist(), record.acquire_iterations.tolist(),
+                  record.release_iterations.tolist())
+    rows = [[t, *lam, *resp, *rmax, *n, sum(n), acq, rel]
+            for t, (lam, resp, n, acq, rel) in enumerate(per_step)]
     meta = "C=%d K=%d horizon=%d seed=%d" % (C, K, spec.horizon, spec.master_seed)
     write_csv(os.path.join(out_dir, "timeseries.csv"), meta, header, rows)
     write_csv(os.path.join(out_dir, "summary.csv"), meta, SUMMARY_HEADER,

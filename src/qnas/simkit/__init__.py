@@ -1,5 +1,5 @@
 from .des import DesResult, des_validate
-from .harness import RunRecord, RunSummary, ScenarioSpec, StepRecord, run_scenario, summarize
+from .harness import RunRecord, RunSummary, ScenarioSpec, run_scenario, summarize
 from .seeds import subseed
 
 __all__ = [
@@ -8,7 +8,6 @@ __all__ = [
     "RunRecord",
     "RunSummary",
     "ScenarioSpec",
-    "StepRecord",
     "run_scenario",
     "summarize",
     "subseed",

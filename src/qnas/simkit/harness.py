@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import OverloadedStation, UnattainableSla
+from ..errors import OverloadedStation, QnasError
 from ..model import (
     ArrivalRates,
     Configuration,
@@ -73,20 +73,6 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step: int
-    rates: np.ndarray
-    config_after: Configuration
-    predicted_response: np.ndarray
-    acquire_iterations: int
-    release_iterations: int
-
-    @property
-    def total_instances(self):
-        return self.config_after.total
-
-
-@dataclass(frozen=True)
 class RunSummary:
     acquire_max: int
     acquire_avg: float
@@ -101,19 +87,25 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run as read-only arrays whose row t is step t: rates (T, C), the
+    configuration chosen (T, K), its predicted response (T, C), and the
+    planner's acquire and release iteration counts (T,)."""
+
     spec: ScenarioSpec
-    steps: list
+    rates: np.ndarray
+    counts: np.ndarray
+    predicted_response: np.ndarray
+    acquire_iterations: np.ndarray
+    release_iterations: np.ndarray
     summary: RunSummary
     thresholds: SlaThresholds
     demands: DemandMatrix
 
 
-def summarize(steps):
-    """Aggregate allocation statistics over the recorded steps."""
-    totals = np.array([s.total_instances for s in steps])
-    acq = np.array([s.acquire_iterations for s in steps])
-    rel = np.array([s.release_iterations for s in steps])
-    static_total = len(steps) * int(totals.max())
+def summarize(totals, acq, rel):
+    """Aggregate allocation statistics over per-step instance totals and
+    iteration counts."""
+    static_total = len(totals) * int(totals.max())
     return RunSummary(
         acquire_max=int(acq.max()),
         acquire_avg=float(acq.mean()),
@@ -153,8 +145,11 @@ def run_scenario(spec):
     config = spec.initial_config or Configuration(np.ones(spec.num_stations, dtype=np.int64))
     noise = spec.noise
 
-    steps = []
-    for t in range(spec.horizon):
+    T = spec.horizon
+    counts = np.empty((T, spec.num_stations), dtype=np.int64)
+    predicted = np.empty(series.shape)
+    acq, rel = np.empty(T, dtype=np.int64), np.empty(T, dtype=np.int64)
+    for t in range(T):
         rates = series[t]
         arrivals = _trusted(ArrivalRates, rates=rates)
         if noise.relative_sd > 0:
@@ -162,26 +157,25 @@ def run_scenario(spec):
             noise = _trusted(NoiseSpec, **{**vars(spec.noise),
                                            "seed": subseed(spec.noise.seed, "step-%d" % t)})
         try:
-            snap = observe(arrivals, demands, config, noise)
-        except OverloadedStation:
-            # The workload has overloaded the current configuration: measure
-            # at the minimum feasible one.  rates @ demands is the capacity
-            # floor at the unit reference.
-            floor = rates @ demands.demands
-            lifted = _trusted(Configuration, counts=_frozen(counts_above(floor)))
-            snap = observe(arrivals, demands, lifted, noise)
-        try:
+            try:
+                snap = observe(arrivals, demands, config, noise)
+            except OverloadedStation:
+                # The workload has overloaded the current configuration:
+                # measure at the minimum feasible one.  rates @ demands is
+                # the capacity floor at the unit reference.
+                floor = rates @ demands.demands
+                lifted = _trusted(Configuration, counts=_frozen(counts_above(floor)))
+                snap = observe(arrivals, demands, lifted, noise)
             outcome = plan_step(snap, sla)
-        except UnattainableSla as exc:
-            raise UnattainableSla(exc.classes, "step %d: %s" % (t, exc)) from exc
-        steps.append(StepRecord(
-            step=t,
-            rates=rates,
-            config_after=outcome.new_config,
-            predicted_response=outcome.predicted_response.per_class,
-            acquire_iterations=outcome.acquire_iterations,
-            release_iterations=outcome.release_iterations,
-        ))
+        except QnasError as exc:
+            # Same type and attributes, so callers still tell the causes apart.
+            exc.args = ("step %d: %s" % (t, exc),)
+            raise
         config = outcome.new_config
+        counts[t] = config.counts
+        predicted[t] = outcome.predicted_response.per_class
+        acq[t], rel[t] = outcome.acquire_iterations, outcome.release_iterations
 
-    return RunRecord(spec, steps, summarize(steps), sla, demands)
+    counts, predicted, acq, rel = map(_frozen, (counts, predicted, acq, rel))
+    return RunRecord(spec, series, counts, predicted, acq, rel,
+                     summarize(counts.sum(axis=1), acq, rel), sla, demands)

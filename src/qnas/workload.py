@@ -31,6 +31,13 @@ class WorkloadLaw:
             v = np.array(getattr(self, name), dtype=np.float64)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        # One value per class in each vector; numpy would broadcast a misfit.
+        if self.base_rates.ndim != 1:
+            raise ValueError("base rates must be a vector")
+        for name in ("amplitudes", "periods", "phases"):
+            if getattr(self, name).shape != self.base_rates.shape:
+                raise ValueError("%s must list %d values, one per class"
+                                 % (name, self.base_rates.shape[0]))
         # Each check is written so that NaN fails it.
         if not _finite_nonneg(self.base_rates):
             raise ValueError("base rates must be finite and >= 0")

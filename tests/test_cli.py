@@ -179,7 +179,7 @@ class TestRun:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == EXIT_UNATTAINABLE
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1 and "overloaded station" in errors[0]
+        assert len(errors) == 1 and "step 0: overloaded station" in errors[0]
         assert not (tmp_path / "out" / "summary.csv").exists()
 
     @pytest.mark.parametrize("name", sorted(BAD_RUN_VALUES))

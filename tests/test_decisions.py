@@ -38,9 +38,9 @@ SCENARIOS = {
 
 def decision_digest(record):
     h = hashlib.sha256()
-    for s in record.steps:
-        h.update(("%s|%d|%d;" % (",".join(map(str, s.config_after.counts.tolist())),
-                                 s.acquire_iterations, s.release_iterations)).encode())
+    for n, acq, rel in zip(record.counts.tolist(), record.acquire_iterations.tolist(),
+                           record.release_iterations.tolist()):
+        h.update(("%s|%d|%d;" % (",".join(map(str, n)), acq, rel)).encode())
     h.update(repr(record.summary).encode())
     return h.hexdigest()
 
@@ -56,8 +56,8 @@ PREDICTION_DIGESTS = {
 
 def prediction_digest(record):
     h = hashlib.sha256()
-    for s in record.steps:
-        h.update(np.ascontiguousarray(s.predicted_response, dtype=np.float64).tobytes())
+    # Row-major bytes: step 0's responses, then step 1's, and so on.
+    h.update(np.ascontiguousarray(record.predicted_response, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 

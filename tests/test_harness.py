@@ -24,16 +24,14 @@ def demo_spec(horizon=3, sla=(6.0, 5.0)):
 class TestRunScenario:
     def test_demo_constant(self):
         rec = run_scenario(demo_spec())
-        for step in rec.steps:
-            np.testing.assert_array_equal(step.config_after.counts, [2, 1, 2])
+        np.testing.assert_array_equal(rec.counts, [[2, 1, 2]] * 3)
         s = rec.summary
         assert s.instances_min == s.instances_max == 5
         assert s.dynamic_static_ratio == pytest.approx(1.0)
 
     def test_constant_workload_fixed_point(self):
         rec = run_scenario(demo_spec(horizon=10))
-        configs = {tuple(s.config_after.counts) for s in rec.steps[1:]}
-        assert len(configs) == 1
+        assert len({tuple(n) for n in rec.counts[1:].tolist()}) == 1
 
     def test_unattainable_sla_reports_step(self):
         spec = demo_spec(sla=(1.0, 5.0))
@@ -44,41 +42,37 @@ class TestRunScenario:
     def test_no_violations_with_noise_off(self):
         spec = ScenarioSpec(num_classes=3, num_stations=5, horizon=50, master_seed=5)
         rec = run_scenario(spec)
-        for s in rec.steps:
-            assert np.all(s.predicted_response <= rec.thresholds.max_response + 1e-9)
+        assert np.all(rec.predicted_response <= rec.thresholds.max_response + 1e-9)
 
     def test_allocation_tracks_load(self):
         spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=200, master_seed=7)
         rec = run_scenario(spec)
-        lam = np.array([s.rates.sum() for s in rec.steps])
-        total = np.array([s.total_instances for s in rec.steps], dtype=float)
-        assert np.corrcoef(lam, total)[0, 1] > 0
+        assert np.corrcoef(rec.rates.sum(axis=1), rec.counts.sum(axis=1))[0, 1] > 0
 
     def test_deterministic(self):
         spec = ScenarioSpec(num_classes=3, num_stations=4, horizon=30, master_seed=11)
         a = run_scenario(spec)
         b = run_scenario(spec)
-        assert [tuple(s.config_after.counts) for s in a.steps] == \
-               [tuple(s.config_after.counts) for s in b.steps]
+        np.testing.assert_array_equal(a.counts, b.counts)
         assert a.summary == b.summary
 
     def test_overloaded_start_recovers(self):
         # All-ones start under the bottleneck fixture's load is overloaded;
         # the harness measures at the minimum feasible configuration instead.
         rec = run_scenario(demo_spec(horizon=1))
-        np.testing.assert_array_equal(rec.steps[0].config_after.counts, [2, 1, 2])
+        np.testing.assert_array_equal(rec.counts, [[2, 1, 2]])
 
     def test_noise_mode_still_runs(self):
         spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=20, master_seed=13,
                             noise=NoiseSpec(0.05, 3))
         rec = run_scenario(spec)
-        assert len(rec.steps) == 20
+        assert len(rec.counts) == 20
 
     def test_poisson_arrivals_mode(self):
         spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=20, master_seed=17,
                             poisson_window=1000.0)
         rec = run_scenario(spec)
-        assert len(rec.steps) == 20
+        assert len(rec.counts) == 20
 
 
 class TestSeams:
@@ -111,9 +105,9 @@ class TestSeams:
                 try:
                     out = inner(*args, **kwargs)
                 except OverloadedStation:
-                    events.append(name + " overloaded")
+                    events.append((name + " overloaded", args))
                     raise
-                events.append(name)
+                events.append((name, args))
                 return out
             monkeypatch.setattr(module, name, recorded)
 
@@ -122,9 +116,11 @@ class TestSeams:
         wrap(telemetry, "make_snapshot")
         spec = ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
                             noise=NoiseSpec(0.05, 1001))
-        run_scenario(spec)
-        steps, step = [], []
-        for e in events:
+        rec = run_scenario(spec)
+        steps, step, measured_at = [], [], []
+        for e, args in events:
+            if e.startswith("observe") and len(measured_at) == len(steps):
+                measured_at.append(args[2].counts)  # the step's first observe
             step.append(e)
             if e == "plan_step":
                 steps.append(step)
@@ -135,6 +131,9 @@ class TestSeams:
         overloaded = ["observe overloaded"] + plain
         assert all(s in (plain, overloaded) for s in steps)
         assert overloaded in steps and plain in steps
+        # Step 0 is measured at the all-ones start, step t+1 at what step t
+        # chose: the configuration row t serves the interval of rates row t+1.
+        np.testing.assert_array_equal(measured_at, [np.ones(10), *rec.counts[:-1]])
 
     def test_series_checked_before_step_zero(self, monkeypatch):
         real = harness.gen_arrival_series
@@ -153,11 +152,21 @@ class TestSeams:
             run_scenario(spec)
 
     def test_step_rates_read_only(self):
-        spec = ScenarioSpec(num_classes=2, num_stations=3, horizon=4, master_seed=3,
-                            poisson_window=50.0)
-        for s in run_scenario(spec).steps + run_scenario(demo_spec()).steps:
-            with pytest.raises(ValueError):
-                s.rates[0] = 1.0
+        # Every record array has one row per step, and none can be written.
+        poisson = ScenarioSpec(num_classes=2, num_stations=3, horizon=4, master_seed=3,
+                               poisson_window=50.0)
+        for spec in (poisson, demo_spec()):
+            rec = run_scenario(spec)
+            T, C, K = spec.horizon, spec.num_classes, spec.num_stations
+            arrays = {"rates": ((T, C), np.float64), "counts": ((T, K), np.int64),
+                      "predicted_response": ((T, C), np.float64),
+                      "acquire_iterations": ((T,), np.int64),
+                      "release_iterations": ((T,), np.int64)}
+            for name, (shape, dtype) in arrays.items():
+                a = getattr(rec, name)
+                assert (a.shape, a.dtype) == (shape, dtype), name
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1
 
 
 class TestScenarioSpec:
@@ -187,9 +196,9 @@ class TestSummarize:
     def test_arithmetic_recomputable(self):
         spec = ScenarioSpec(num_classes=3, num_stations=4, horizon=40, master_seed=19)
         rec = run_scenario(spec)
-        totals = [s.total_instances for s in rec.steps]
-        acq = [s.acquire_iterations for s in rec.steps]
-        rel = [s.release_iterations for s in rec.steps]
+        totals = rec.counts.sum(axis=1).tolist()
+        acq = rec.acquire_iterations.tolist()
+        rel = rec.release_iterations.tolist()
         s = rec.summary
         assert s.instances_min == min(totals)
         assert s.instances_max == max(totals)

@@ -34,6 +34,24 @@ class TestGenDemands:
         np.testing.assert_array_equal(a, b)
 
 
+class TestWorkloadLaw:
+    # Each vector lists one value per class: numpy would broadcast a lone
+    # amplitude over three classes, and fail mid-generation on three
+    # amplitudes for two classes.
+    @pytest.mark.parametrize("vectors", [
+        ([1.0, 2.0, 3.0], [0.5], [10.0], [0.0]),
+        ([1.0, 2.0], [0.5, 0.1, 0.2], [10.0, 10.0], [0.0, 0.0]),
+        ([1.0, 2.0], [0.5, 0.1], [10.0], [0.0, 0.0]),
+        ([1.0, 2.0], [0.5, 0.1], [10.0, 10.0], 0.0),
+        (1.0, 0.5, 10.0, 0.0),
+        ([[1.0, 2.0]], [[0.5, 0.1]], [[10.0, 10.0]], [[0.0, 0.0]]),
+    ], ids=["one-amplitude", "three-amplitudes", "one-period", "scalar-phase",
+            "scalar-law", "matrix-law"])
+    def test_vector_lengths_must_agree(self, vectors):
+        with pytest.raises(ValueError, match="must list|must be a vector"):
+            WorkloadLaw(*vectors)
+
+
 class TestGenArrivalSeries:
     def test_degenerate_constant(self):
         law = WorkloadLaw([2.0, 1.0], [0.0, 0.0], [50.0, 25.0], [0.0, 0.0])
