@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -44,11 +43,11 @@ def _fmt(x):
 def write_csv(path, meta, header, rows):
     rendered = "# %s\n%s\n" % (meta, ",".join(header))
     rendered += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # The umask sets the mode (mkstemp's is 0600); "x" follows no planted link.
+    tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(rendered)
         os.replace(tmp, path)
     except BaseException:
@@ -203,8 +202,8 @@ _VALIDATE = {
 
 
 def _parse_scenario(v):
-    """Build a ScenarioSpec from a scenario block; any out-of-range value is
-    a ConfigError, raised before the scenario runs."""
+    """Build a ScenarioSpec from a scenario block; the model types raise
+    ValueError on an out-of-range value."""
     poisson, sla, noise = v["poisson_arrivals"], v["sla"], v["noise"]
     if "window" in v and not poisson:
         raise ConfigError('window needs "poisson_arrivals": true')
@@ -212,23 +211,20 @@ def _parse_scenario(v):
         raise ConfigError('noise: relative_sd > 0 needs "mode": "sampled" '
                           '(or "mode": "none" to switch noise off)')
     kwargs = dict(master_seed=v["master_seed"], poisson_window=v["window"] if poisson else None)
-    try:
-        if "workload" in v:
-            kwargs["workload"] = WorkloadLaw(**{k: v["workload"][k] for k in _WORKLOAD})
-        if "demands" in v:
-            kwargs["demands"] = DemandMatrix(v["demands"])
-        if "max_response" in sla:
-            kwargs["sla"] = SlaThresholds(sla["max_response"])
-        else:
-            kwargs["sla_multiplier"] = sla["multiplier"]
-        # Built before "none" switches it off, so its values are checked either way.
-        sampled = NoiseSpec(noise["relative_sd"], noise["seed"])
-        kwargs["noise"] = sampled if noise["mode"] == "sampled" else NO_NOISE
-        if "initial_config" in v:
-            kwargs["initial_config"] = Configuration(v["initial_config"])
-        return ScenarioSpec(v["C"], v["K"], v["horizon"], **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "workload" in v:
+        kwargs["workload"] = WorkloadLaw(**{k: v["workload"][k] for k in _WORKLOAD})
+    if "demands" in v:
+        kwargs["demands"] = DemandMatrix(v["demands"])
+    if "max_response" in sla:
+        kwargs["sla"] = SlaThresholds(sla["max_response"])
+    else:
+        kwargs["sla_multiplier"] = sla["multiplier"]
+    # Built before "none" switches it off, so its values are checked either way.
+    sampled = NoiseSpec(noise["relative_sd"], noise["seed"])
+    kwargs["noise"] = sampled if noise["mode"] == "sampled" else NO_NOISE
+    if "initial_config" in v:
+        kwargs["initial_config"] = Configuration(v["initial_config"])
+    return ScenarioSpec(v["C"], v["K"], v["horizon"], **kwargs)
 
 
 def _load_config(args):
@@ -318,7 +314,7 @@ def cmd_sweep(args):
                 try:
                     record = run_scenario(_parse_scenario(_Block(_SCENARIO, cell, noticed=noticed)))
                     rows.append([seed] + _summary_row(C, K, record.summary))
-                except QnasError as exc:
+                except (QnasError, ValueError) as exc:
                     warnings += 1
                     log.warning("cell C=%d K=%d seed=%d failed: %s", C, K, seed, exc)
                     rows.append([seed, C, K] + ["ERROR"] * (len(SUMMARY_HEADER) - 2))
@@ -332,12 +328,9 @@ def cmd_sweep(args):
 def cmd_validate(args):
     v = _Block(_VALIDATE, _load_config(args), "validate config")
     seed = v["master_seed"]
-    try:
-        ref = Configuration(v["ref_config"])
-        targets = [Configuration(t) for t in v["targets"]]
-        base = make_snapshot(ref, v["rates"], v["demands"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ref = Configuration(v["ref_config"])
+    targets = [Configuration(t) for t in v["targets"]]
+    base = make_snapshot(ref, v["rates"], v["demands"])
     # Check: every target is predicted before the first simulation, and the
     # prediction is its length and feasibility check.
     predicted = []
@@ -350,13 +343,10 @@ def cmd_validate(args):
     # Simulate each (target, discipline) pair.  des_validate checks its
     # settings before it simulates, so a bad one fails the first call.
     runs = [(t, p, disc) for t, p in zip(targets, predicted) for disc in v["disciplines"]]
-    try:
-        results = [des_validate(base, t, discipline=disc, run_length=v["run_length"],
-                                warmup_fraction=v["warmup_fraction"], batches=v["batches"],
-                                seed=subseed(seed, "des-%s-%s" % (disc, t.counts.tolist())))
-                   for t, _, disc in runs]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = [des_validate(base, t, discipline=disc, run_length=v["run_length"],
+                            warmup_fraction=v["warmup_fraction"], batches=v["batches"],
+                            seed=subseed(seed, "des-%s-%s" % (disc, t.counts.tolist())))
+               for t, _, disc in runs]
 
     # Judge the cells some class uses, class-major.  Analytic per-visit
     # residence: N_k instances each hold residence R_ck, one visit carries
@@ -405,9 +395,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(message)s")
+    # A model type or an input generator raises ValueError on a bad value.
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
 

@@ -225,5 +225,6 @@ def predict_response(base, target):
 
 def counts_above(floor):
     """Smallest integer counts strictly above a capacity floor, at least one
-    instance everywhere."""
-    return np.maximum(1, np.floor(floor).astype(np.int64) + 1)
+    instance everywhere.  A floor is clamped at 2**63 - 1024, the largest
+    float64 below 2**63, so a larger one saturates instead of overflowing int64."""
+    return np.maximum(1, np.floor(np.minimum(floor, 2.0 ** 63 - 1024)).astype(np.int64) + 1)

@@ -121,17 +121,11 @@ def summarize(totals, acq, rel):
 
 def run_scenario(spec):
     """Execute the control loop over the whole horizon."""
-    demands = spec.demands
-    if demands is None:
-        demands = gen_demands(DemandLaw(spec.num_classes, spec.num_stations,
-                                        seed=subseed(spec.master_seed, "demands")))
-    sla = spec.sla
-    if sla is None:
-        sla = default_thresholds(demands, spec.sla_multiplier)
-    law = spec.workload
-    if law is None:
-        law = default_law(spec.num_classes, spec.horizon,
-                          seed=subseed(spec.master_seed, "workload-law"))
+    demands = spec.demands or gen_demands(DemandLaw(spec.num_classes, spec.num_stations,
+                                                    seed=subseed(spec.master_seed, "demands")))
+    sla = spec.sla or default_thresholds(demands, spec.sla_multiplier)
+    law = spec.workload or default_law(spec.num_classes, spec.horizon,
+                                       seed=subseed(spec.master_seed, "workload-law"))
     series = gen_arrival_series(law, spec.horizon, seed=subseed(spec.master_seed, "workload"))
     # Checked once here, so each step hands observe typed, read-only rates
     # that it takes as they are; Poisson draws are finite and >= 0 as drawn.
@@ -140,7 +134,12 @@ def run_scenario(spec):
     if spec.poisson_window is not None:
         # Row t is step t's draw: numpy draws the elements in row order.
         arr_rng = np.random.default_rng(subseed(spec.master_seed, "arrivals"))
-        series = arr_rng.poisson(series * spec.poisson_window) / spec.poisson_window
+        try:
+            with np.errstate(over="ignore"):  # an inf mean fails the draw too
+                series = arr_rng.poisson(series * spec.poisson_window) / spec.poisson_window
+        except ValueError:  # numpy's "lam value too large"
+            raise ValueError("window %r times the arrival rates is too large a Poisson mean"
+                             % (spec.poisson_window,)) from None
     _frozen(series)
     config = spec.initial_config or Configuration(np.ones(spec.num_stations, dtype=np.int64))
     noise = spec.noise

@@ -99,24 +99,26 @@ def gen_arrival_series(law, horizon, seed):
 
     The AR(1) perturbation is initialized from its stationary distribution;
     innovation sd is scaled so the stationary sd equals perturbation_sd.
+    Rates past float range come out as inf or NaN, unwarned: callers check.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     C = law.num_classes
     t = np.arange(horizon, dtype=float)[:, np.newaxis]
-    sinus = law.base_rates * (
-        1.0 + law.amplitudes * np.sin(2.0 * np.pi * t / law.periods + law.phases)
-    )
-    if law.perturbation_sd > 0:
-        rho = law.perturbation_persistence
-        innov_sd = law.perturbation_sd * np.sqrt(1.0 - rho**2)
-        eps = np.empty((horizon, C))
-        eps[0] = rng.normal(0.0, law.perturbation_sd, size=C)
-        shocks = rng.normal(0.0, innov_sd, size=(horizon, C))
-        for i in range(1, horizon):
-            eps[i] = rho * eps[i - 1] + shocks[i]
-        sinus = sinus * (1.0 + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinus = law.base_rates * (
+            1.0 + law.amplitudes * np.sin(2.0 * np.pi * t / law.periods + law.phases)
+        )
+        if law.perturbation_sd > 0:
+            rho = law.perturbation_persistence
+            innov_sd = law.perturbation_sd * np.sqrt(1.0 - rho**2)
+            eps = np.empty((horizon, C))
+            eps[0] = rng.normal(0.0, law.perturbation_sd, size=C)
+            shocks = rng.normal(0.0, innov_sd, size=(horizon, C))
+            for i in range(1, horizon):
+                eps[i] = rho * eps[i - 1] + shocks[i]
+            sinus = sinus * (1.0 + eps)
     return np.maximum(sinus, 0.0)
 
 
@@ -126,4 +128,5 @@ def default_thresholds(demands, multiplier):
     Raw demands are checked as a DemandMatrix."""
     if not multiplier > 1:
         raise ValueError("multiplier must be > 1")
-    return SlaThresholds(multiplier * _typed(DemandMatrix, demands).demands.sum(axis=1))
+    with np.errstate(over="ignore"):  # SlaThresholds rejects an inf threshold
+        return SlaThresholds(multiplier * _typed(DemandMatrix, demands).demands.sum(axis=1))

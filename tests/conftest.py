@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from qnas.model import BaselineSnapshot, Configuration, make_snapshot
+from qnas.simkit import ScenarioSpec, run_scenario, subseed
 
 # Canonical bottleneck-shift fixture: 2 classes, 3 stations, unit reference.
 DEMO_RATES = np.array([2.0, 1.0])
@@ -35,3 +38,11 @@ def random_baseline(rng, max_classes=5, max_stations=10, max_ref=3, util_cap=0.9
     over = util > 0
     demands[:, over] *= scale / util[over] * rng.uniform(0.5, 1.0, size=over.sum())
     return make_snapshot(ref, rates, demands)
+
+
+@functools.cache
+def grid_record(C, K, seed):
+    """The run of a test_06 acceptance-grid cell, run once per session: its
+    arrays are read-only, so the tests that read it share one record."""
+    return run_scenario(ScenarioSpec(num_classes=C, num_stations=K, horizon=200,
+                                     master_seed=subseed(seed, "cell-%d-%d" % (C, K))))

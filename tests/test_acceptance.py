@@ -15,10 +15,10 @@ from qnas.model import (
     rescale_snapshot,
 )
 from qnas.planner import SlaThresholds, acquire, plan_step, release
-from qnas.simkit import ScenarioSpec, des_validate, run_scenario, subseed
+from qnas.simkit import ScenarioSpec, des_validate, run_scenario
 from qnas.telemetry import observe
 
-from conftest import DEMO_DEMANDS, DEMO_RATES, random_baseline
+from conftest import DEMO_DEMANDS, DEMO_RATES, grid_record, random_baseline
 
 
 def report(name, detail):
@@ -150,9 +150,7 @@ def test_06_allocation_ratio_band():
         row = []
         for K in (20, 40, 60):
             for seed in (1, 2, 3):
-                spec = ScenarioSpec(num_classes=C, num_stations=K, horizon=200,
-                                    master_seed=subseed(seed, "cell-%d-%d" % (C, K)))
-                row.append(run_scenario(spec).summary.dynamic_static_ratio)
+                row.append(grid_record(C, K, seed).summary.dynamic_static_ratio)
         ratios[C] = row
     flat = [x for row in ratios.values() for x in row]
     assert all(0.5 <= x <= 0.85 for x in flat), "ratios out of band: %s" % flat

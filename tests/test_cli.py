@@ -88,6 +88,12 @@ BAD_SCENARIO_VALUES = {
     "int64-overflow-horizon": {"horizon": 2 ** 63},
     "huge-C": {"C": HUGE},
     "huge-K": {"K": HUGE},
+    # Finite values whose generated inputs overflow: found before step 0,
+    # with no RuntimeWarning first.
+    "overflowing-thresholds": {"sla": {"multiplier": 1e308}, "demands": [[1.0] * 4] * 3},
+    "overflowing-poisson-mean": {"poisson_arrivals": True, "window": 1e30},
+    "overflowing-rates": {"workload": {"base_rates": [1e308, 1, 1], "amplitudes": [0.99, 0, 0],
+                                       "phases": [1.5707963, 0, 0]}},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
@@ -182,6 +188,17 @@ class TestRun:
         assert len(errors) == 1 and "step 0: overloaded station" in errors[0]
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_overloaded_past_int64(self, tmp_path, caplog):
+        # A capacity floor past 2**63 saturates the lifted counts instead of
+        # casting garbage (and warning) on the way to the same stop.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"C": 3, "K": 4, "horizon": 3,
+                                    "workload": {"base_rates": [1e308, 1, 1]}}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_UNATTAINABLE
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["run stopped: step 0: overloaded station(s): [0, 1, 2, 3]"]
+
     @pytest.mark.parametrize("name", sorted(BAD_RUN_VALUES))
     def test_out_of_range_values(self, tmp_path, caplog, name):
         cfg = bad_scenario(name)
@@ -198,6 +215,17 @@ class TestRun:
             assert main(["run", "--config", DEMO_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
         assert (out_a / "timeseries.csv").read_bytes() == (out_b / "timeseries.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+    def test_outputs_follow_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert main(["run", "--config", DEMO_CONFIG, "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(tmp_path)) == ["summary.csv", "timeseries.csv"]
+        for name in ("summary.csv", "timeseries.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
     def test_summary_line(self, tmp_path, capsys):
         assert main(["run", "--config", DEMO_CONFIG, "--out", str(tmp_path)]) == EXIT_OK

@@ -4,34 +4,31 @@ different configuration, iteration count or run summary on some step, or
 a predicted response that differs in any bit."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qnas.simkit import ScenarioSpec, run_scenario, subseed
+from qnas.simkit import ScenarioSpec, run_scenario
 from qnas.telemetry import NoiseSpec
 
+from conftest import grid_record
 
-def grid_cell(C, K, seed):
-    """A cell of the test_06 acceptance grid."""
-    return ScenarioSpec(num_classes=C, num_stations=K, horizon=200,
-                        master_seed=subseed(seed, "cell-%d-%d" % (C, K)))
-
-
+# Each scenario's run, as a call, and its decision digest.
 SCENARIOS = {
     "grid-10x20-seed1": (
-        grid_cell(10, 20, 1),
+        partial(grid_record, 10, 20, 1),
         "cc47e765e113f8a4140d984fff0a7f9f63e39241f1c1d30cf314b15126f87503"),
     "grid-20x60-seed1": (
-        grid_cell(20, 60, 1),
+        partial(grid_record, 20, 60, 1),
         "d3dcfb592d5c2525dcf2a28ad1c75279c7973a413226259a40dba41145327721"),
     "noisy-5x10": (
-        ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
-                     noise=NoiseSpec(0.05, 1001)),
+        partial(run_scenario, ScenarioSpec(num_classes=5, num_stations=10, horizon=100,
+                                           master_seed=1, noise=NoiseSpec(0.05, 1001))),
         "81197be9e567e75f2131fbc9bb1efa39fa7ff7b0233bdb298ce585a932081eb1"),
     "poisson-5x10": (
-        ScenarioSpec(num_classes=5, num_stations=10, horizon=100, master_seed=1,
-                     poisson_window=20.0),
+        partial(run_scenario, ScenarioSpec(num_classes=5, num_stations=10, horizon=100,
+                                           master_seed=1, poisson_window=20.0)),
         "a40982e7944d758eb3ce7feadf1ab3df34723317ddf0bad556dc0b6331b07e04"),
 }
 
@@ -63,8 +60,8 @@ def prediction_digest(record):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_decisions_pinned(name):
-    spec, expected = SCENARIOS[name]
-    record = run_scenario(spec)
+    run, expected = SCENARIOS[name]
+    record = run()
     assert decision_digest(record) == expected
     assert prediction_digest(record) == PREDICTION_DIGESTS[name]
 
@@ -79,5 +76,5 @@ def test_grid_decisions_pinned():
     for C in (10, 15, 20):
         for K in (20, 40, 60):
             for seed in (1, 2, 3):
-                h.update(decision_digest(run_scenario(grid_cell(C, K, seed))).encode())
+                h.update(decision_digest(grid_record(C, K, seed)).encode())
     assert h.hexdigest() == GRID_DIGEST

@@ -179,6 +179,14 @@ class TestMinFeasibleConfig:
         base = make_snapshot([1], [4.0], [[0.5]])  # floor exactly 2.0
         assert counts_above(capacity_floor(base))[0] == 3
 
+    def test_saturates_past_int64(self):
+        # 2**63 - 1024 is the largest float64 below 2**63: floors up to it
+        # keep their exact count, and larger ones saturate without a cast
+        # warning.
+        top = 2 ** 63 - 1023
+        floors = [5.5, 2.0 ** 62, 2.0 ** 63 - 1024, 2.0 ** 63, 1e308, np.inf]
+        assert counts_above(np.array(floors)).tolist() == [6, 2 ** 62 + 1, top, top, top, top]
+
     def test_zero_load_station(self):
         base = make_snapshot([1, 1], [1.0], [[0.5, 0.0]])
         assert counts_above(capacity_floor(base))[1] == 1
