@@ -61,8 +61,8 @@ _REQUIRED = object()
 _Kind = namedtuple("_Kind", "what test convert")
 # A table entry.  A dict `kind` is the table of a nested block.  `default`
 # is _REQUIRED, a value or a function of the values read so far; `notice`
-# logs it when used; `length` names the value a vector's length must equal.
-_Key = namedtuple("_Key", "kind default notice length", defaults=(_REQUIRED, False, None))
+# logs it when used.
+_Key = namedtuple("_Key", "kind default notice", defaults=(_REQUIRED, False))
 
 
 def _list_of(test, least=0, distinct=False):
@@ -100,8 +100,8 @@ class _Block:
     """The typed values of one JSON config object, read through its table.
 
     Building the block rejects unknown keys, missing required keys and
-    values of the wrong kind or length, each as a ConfigError naming the
-    key path, as is a number beyond float range.  Ranges are left to the
+    values of the wrong kind, each as a ConfigError naming the key path, as
+    is a number beyond float range.  Lengths and ranges are left to the
     model types the values build.  An absent key reads as its default,
     logging the table's notice once per `noticed` set (one per command);
     `key in block` tells whether the config gave the key.
@@ -132,8 +132,6 @@ class _Block:
                     raise ConfigError("%s holds a number beyond float range" % path) from None
             else:
                 raise ConfigError("%s must be %s, got %r" % (path, entry.kind.what, cfg[key]))
-            if entry.length and len(value) != self._dims[entry.length]:
-                raise ConfigError("%s must list %d values" % (path, self._dims[entry.length]))
             self._given[key] = self._dims[key] = value
 
     def __contains__(self, key):
@@ -152,11 +150,11 @@ class _Block:
         return default
 
 
-_WORKLOAD = {  # the fields of WorkloadLaw
-    "base_rates": _Key(_VECTOR, length="C"),
-    "amplitudes": _Key(_VECTOR, lambda d: [0.0] * d["C"], True, "C"),
-    "periods": _Key(_VECTOR, lambda d: [float(d["horizon"])] * d["C"], True, "C"),
-    "phases": _Key(_VECTOR, lambda d: [0.0] * d["C"], True, "C"),
+_WORKLOAD = {  # the fields of WorkloadLaw; a vector defaults to one value per base rate
+    "base_rates": _Key(_VECTOR),
+    "amplitudes": _Key(_VECTOR, lambda d: [0.0] * len(d["base_rates"]), True),
+    "periods": _Key(_VECTOR, lambda d: [float(d["horizon"])] * len(d["base_rates"]), True),
+    "phases": _Key(_VECTOR, lambda d: [0.0] * len(d["base_rates"]), True),
     "perturbation_sd": _Key(_REAL, 0.0),
     "perturbation_persistence": _Key(_REAL, 0.0),
 }
@@ -170,7 +168,7 @@ _SCENARIO = {
     "workload": _Key(_WORKLOAD, {}),
     "demands": _Key(_MATRIX, None),
     "sla": _Key({"multiplier": _Key(_REAL, 2.0, True),
-                 "max_response": _Key(_VECTOR, None, length="C")}, {}),
+                 "max_response": _Key(_VECTOR, None)}, {}),
     "noise": _Key({"mode": _Key(_MODE, "none"),
                    "relative_sd": _Key(_REAL, 0.0),
                    "seed": _Key(_WHOLE, 0)}, {}),
@@ -330,7 +328,10 @@ def cmd_validate(args):
     seed = v["master_seed"]
     ref = Configuration(v["ref_config"])
     targets = [Configuration(t) for t in v["targets"]]
-    base = make_snapshot(ref, v["rates"], v["demands"])
+    # Totals or a floor that overflow are make_snapshot's config error, not
+    # numpy's warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = make_snapshot(ref, v["rates"], v["demands"])
     # Check: every target is predicted before the first simulation, and the
     # prediction is its length and feasibility check.
     predicted = []

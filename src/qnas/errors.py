@@ -7,14 +7,12 @@ class QnasError(Exception):
 
 class _IndexedError(QnasError):
     """An error about some stations or classes, kept as a tuple in attribute
-    `_attr`; the default message lists them after `_prefix`."""
+    `_attr`; the message lists them after `_prefix`."""
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices):
         indices = tuple(indices)
         setattr(self, self._attr, indices)
-        if message is None:
-            message = "%s: %s" % (self._prefix, list(indices))
-        super().__init__(message)
+        super().__init__("%s: %s" % (self._prefix, list(indices)))
 
 
 class OverloadedStation(_IndexedError):

@@ -1,14 +1,5 @@
-from .des import DesResult, des_validate
-from .harness import RunRecord, RunSummary, ScenarioSpec, run_scenario, summarize
+from .des import des_validate
+from .harness import ScenarioSpec, run_scenario, summarize
 from .seeds import subseed
 
-__all__ = [
-    "DesResult",
-    "des_validate",
-    "RunRecord",
-    "RunSummary",
-    "ScenarioSpec",
-    "run_scenario",
-    "summarize",
-    "subseed",
-]
+__all__ = ["ScenarioSpec", "run_scenario", "des_validate", "subseed", "summarize"]

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qnas.model import BaselineSnapshot, Configuration, make_snapshot
+from qnas.model import make_snapshot
 from qnas.simkit import ScenarioSpec, run_scenario, subseed
 
 # Canonical bottleneck-shift fixture: 2 classes, 3 stations, unit reference.

@@ -32,6 +32,7 @@ BAD_SCENARIO_VALUES = {
     "perturbation-without-law": {"workload": {"perturbation_sd": 0.2}},
     "short-amplitudes": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1, 0.1]}},
     "one-amplitude": {"workload": {"base_rates": [1, 1, 1], "amplitudes": [0.1]}},
+    "short-base-rates": {"workload": {"base_rates": [1, 1]}},
     "short-max-response": {"sla": {"max_response": [5.0, 5.0]}},
     "bogus-noise-mode": {"noise": {"mode": "bogus"}},
     "multiplier-below-one": {"sla": {"multiplier": 0.5}},
@@ -113,6 +114,12 @@ ERROR_KEY_PATHS = {
     "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
     "huge-demands": "demands", "huge-horizon": "horizon",
     "int64-overflow-horizon": "horizon", "null-workload": "workload", "scalar-sla": "sla",
+}
+# A wrong length is reported by the model type that holds the value; its
+# config error begins with the field.
+ERROR_FIELDS = {
+    "short-base-rates": "config error: workload law", "short-amplitudes": "config error: amplitudes",
+    "one-amplitude": "config error: amplitudes", "short-max-response": "config error: sla",
 }
 
 
@@ -208,6 +215,7 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out" / "summary.csv").exists()
         assert ERROR_KEY_PATHS.get(name, "") in caplog.text
+        assert ERROR_FIELDS.get(name, "") in caplog.text
 
     def test_idempotent_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -585,7 +593,10 @@ class TestValidate:
         {"ref_config": [1.5, 1, 1]}, {"batches": 10.5}, {"master_seed": 1.5},
         {"run_length": float("inf")}, {"demands": [[0.5, 0.25, 0.5], [0.5, False, 0.5]]},
         {"rates": [2.0, True]}, {"master_seed": True}, *VALIDATE_KEY_ERRORS,
-        {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS, *REPEATED_VALIDATE_LISTS])
+        {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS, *REPEATED_VALIDATE_LISTS,
+        # Finite values whose totals or floor overflow: a config error, with
+        # no RuntimeWarning first.
+        {"demands": [[1e308] * 3] * 2, "ref_config": [2, 2, 2]}, {"rates": [1e308, 1e308]}])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = read_json(VALIDATE_CONFIG)
         cfg.update({"run_length": 100}, **override)
