@@ -76,10 +76,12 @@ def _array(v):
 
 # JSON true/false and strings are never numbers, though int(), float() and
 # numpy would convert them.  Whole-valued floats are whole, as in
-# Configuration; a fraction, which int() would truncate, is not.
+# Configuration; a fraction, which int() would truncate, is not.  A whole
+# number gets float()'s range check, but int() reads it: a seed is not rounded.
 _REAL = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
 _WHOLE = _Kind("a whole number",
-               lambda v: _REAL.test(v) and (isinstance(v, int) or v.is_integer()), int)
+               lambda v: _REAL.test(v) and (isinstance(v, int) or v.is_integer()),
+               lambda v: (float(v), int(v))[1])
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool), bool)
 _STR = _Kind("a string", lambda v: isinstance(v, str), str)
 _VECTOR = _Kind("a list of numbers", _list_of(_REAL.test), _array)
@@ -279,12 +281,7 @@ def cmd_run(args):
     v = _Block(_SCENARIO, _load_config(args))
     spec = _parse_scenario(v)
     out_dir = _out_dir(args, v)
-    try:
-        record = run_scenario(spec)
-    except QnasError as exc:
-        # The loop stopped: unattainable, overloaded, infeasible or capped.
-        log.error("run stopped: %s", exc)
-        return EXIT_UNATTAINABLE
+    record = run_scenario(spec)
     _write_run_outputs(record, out_dir)
     if not args.quiet:
         s = record.summary
@@ -402,6 +399,10 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
+    except QnasError as exc:
+        # The loop stopped: unattainable, overloaded, infeasible or capped.
+        log.error("run stopped: %s", exc)
+        return EXIT_UNATTAINABLE
 
 
 if __name__ == "__main__":

@@ -117,14 +117,14 @@ def _acquire_start(base, sla):
 
 
 # Both phases keep their tables station-major (row k: station k), so a move
-# rewrites one contiguous row; a class is a strided column.  Counts are
-# Python ints, handed to ufuncs as Python floats (an int scalar costs numpy
-# a slower conversion), and a float64 vector for the response
-# per_cs.dot(counts): the same BLAS mat-vec as per_cs @ counts, without the
-# integer cast or the matmul dispatch.  A class violates iff its relative
-# excess (R - limit) / limit is > 0, so the argmax of that one vector (argmin
-# of the slack, which is exactly its negation) both answers "any
-# violation?" and picks the class.
+# rewrites one contiguous row; a class is a strided column.  Counts are kept
+# twice: Python ints, handed to ufuncs as Python floats (an int scalar costs
+# numpy a slower conversion), and a float64 vector for the response
+# per_cs.dot(counts), the same BLAS mat-vec as per_cs @ counts without the
+# cast or the matmul dispatch.  One copy, or one shared per-column update,
+# measured 4-5% slower (ROADMAP N8).  A class violates iff its relative
+# excess (R - limit) / limit is > 0, so the argmax of that vector (the
+# negated slack) both answers "any violation?" and picks the class.
 
 def _acquire_phase(g):
     """Add instances until every class meets its threshold; returns the

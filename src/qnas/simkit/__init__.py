@@ -1,5 +1,4 @@
 from .des import des_validate
-from .harness import ScenarioSpec, run_scenario, summarize
-from .seeds import subseed
+from .harness import ScenarioSpec, run_scenario, subseed, summarize
 
 __all__ = ["ScenarioSpec", "run_scenario", "des_validate", "subseed", "summarize"]

@@ -3,6 +3,7 @@ system through the synthetic monitor, run one planning pass per step, and
 aggregate allocation statistics over the horizon.
 """
 
+import hashlib
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +30,14 @@ from ..workload import (
     gen_arrival_series,
     gen_demands,
 )
-from .seeds import subseed
+
+
+def subseed(master_seed, name):
+    """Deterministic seed derivation: a master seed plus a component name
+    maps to a stable 63-bit sub-seed, so every random component is
+    reproducible without manual seed bookkeeping."""
+    digest = hashlib.sha256(("%d:%s" % (master_seed, name)).encode()).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
 
 
 @dataclass(frozen=True)

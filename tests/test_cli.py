@@ -84,8 +84,10 @@ BAD_SCENARIO_VALUES = {
     "huge-multiplier": {"sla": {"multiplier": HUGE}},
     "huge-base-rates": {"workload": {"base_rates": [HUGE, 1, 1]}},
     "huge-demands": {"demands": [[HUGE, 0.5, 0.5, 0.5], [0.5] * 4, [0.5] * 4]},
-    # A size must also fit in int64, though a whole number of any width reads.
+    # A size must also fit in int64; any number must lie inside float range.
     "huge-horizon": {"horizon": HUGE},
+    # Read before the default periods, which would convert it to a float.
+    "huge-horizon-with-law": {"horizon": HUGE, "workload": {"base_rates": [1, 1, 1]}},
     "int64-overflow-horizon": {"horizon": 2 ** 63},
     "huge-C": {"C": HUGE},
     "huge-K": {"K": HUGE},
@@ -112,7 +114,7 @@ ERROR_KEY_PATHS = {
     "string-initial-config": "initial_config", "string-max-response": "sla.max_response",
     "string-relative-sd": "noise.relative_sd", "int-out-dir": "out_dir",
     "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
-    "huge-demands": "demands", "huge-horizon": "horizon",
+    "huge-demands": "demands", "huge-horizon": "horizon", "huge-horizon-with-law": "horizon",
     "int64-overflow-horizon": "horizon", "null-workload": "workload", "scalar-sla": "sla",
 }
 # A wrong length is reported by the model type that holds the value; its
@@ -279,6 +281,16 @@ def test_fresh_interpreter_exit_code(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "config must be an object" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_write_csv_failed_rename(tmp_path, monkeypatch):
+    # A write that fails re-raises, and leaves neither its temp file nor the target.
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        cli.write_csv(str(tmp_path / "out.csv"), "meta", ["a"], [[1]])
+    assert os.listdir(tmp_path) == []
 
 
 # Config files every command rejects as a config error before it runs.

@@ -33,6 +33,11 @@ class TestGenDemands:
         b = gen_demands(DemandLaw(4, 6, seed=9)).demands
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("C, K", [(0, 3), (3, 0)])
+    def test_sizes_must_be_positive(self, C, K):
+        with pytest.raises(ValueError, match="C and K must be >= 1"):
+            DemandLaw(C, K)
+
 
 class TestWorkloadLaw:
     # Each vector lists one value per class: numpy would broadcast a lone
@@ -85,6 +90,10 @@ class TestGenArrivalSeries:
             power = np.abs(np.fft.rfft(x)) ** 2
             peak = freqs[np.argmax(power[1:]) + 1]
             assert peak == pytest.approx(1.0 / law.periods[c], abs=1.0 / horizon)
+
+    def test_horizon_must_be_positive(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            gen_arrival_series(default_law(2, 10, seed=0), 0, seed=0)
 
 
 class TestDefaultThresholds:
