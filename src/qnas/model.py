@@ -44,14 +44,14 @@ def _trusted(cls, **fields):
 @dataclass(frozen=True)
 class Configuration:
     """Integer vector of instance counts per station, every entry >= 1.
-    Whole-valued floats are accepted; any other float is an error."""
+    Whole-valued floats in int64 range are accepted; any other float is an error."""
 
     counts: np.ndarray
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
-            raise ValueError("instance counts must be whole numbers")
+        if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (abs(raw) < 2 ** 63)):
+            raise ValueError("instance counts must be whole numbers in int64 range")
         counts = np.array(raw, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D vector")
@@ -224,7 +224,7 @@ def predict_response(base, target):
 
 
 def counts_above(floor):
-    """Smallest integer counts strictly above a capacity floor, at least one
-    instance everywhere.  A floor is clamped at 2**63 - 1024, the largest
-    float64 below 2**63, so a larger one saturates instead of overflowing int64."""
-    return np.maximum(1, np.floor(np.minimum(floor, 2.0 ** 63 - 1024)).astype(np.int64) + 1)
+    """Smallest integer counts strictly above a capacity floor, which is >= 0:
+    at least one instance everywhere.  A floor is clamped at 2**63 - 1024, the
+    largest float64 below 2**63, so a larger one saturates instead of overflowing int64."""
+    return np.floor(np.minimum(floor, 2.0 ** 63 - 1024)).astype(np.int64) + 1

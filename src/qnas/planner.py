@@ -15,7 +15,6 @@ from .model import (
     ResponseTimes,
     _frozen,
     _trusted,
-    capacity_floor,
     counts_above,
     residence_table,
 )
@@ -77,23 +76,24 @@ def _terms(td, counts, floor, out=None):
 
 
 class _Greedy:
-    """The tables one greedy call works on, built from a snapshot and its
-    thresholds at counts it keeps >= 1: the station-major total demands td,
-    the floor (also as a list fl), the thresholds, the counts as Python ints
-    (cnt) and as a float64 vector (fcounts), the C x K residence table
-    per_cs and the response per_class = per_cs.dot(fcounts).  The acquire
-    and release phases update them in place, so a release can start where
-    an acquire left off."""
+    """The tables one greedy call works on, built from a snapshot's totals
+    and floor, the thresholds and counts >= 1: the station-major total
+    demands td, the floor (also as a list fl), the thresholds, the counts as
+    Python ints (cnt) and as a float64 vector (fcounts), the C x K residence
+    table per_cs and the response per_class = per_cs.dot(fcounts).  The
+    acquire and release phases update them in place, so a release can start
+    where an acquire left off."""
 
     __slots__ = ("td", "floor", "fl", "limits", "cnt", "fcounts", "per_cs", "per_class")
 
-    def __init__(self, base, sla, counts):
-        total_d, floor = base.total_demands(), capacity_floor(base)
+    def __init__(self, total_d, floor, limits, counts):
+        if limits.shape[0] != total_d.shape[0]:
+            raise ValueError("threshold vector length does not match C")
         self.per_cs = residence_table(total_d, floor, counts)
         self.fcounts = counts.astype(np.float64)
         self.per_class = self.per_cs.dot(self.fcounts)
         self.td = total_d.T.copy()
-        self.floor, self.fl, self.limits = floor, floor.tolist(), sla.max_response
+        self.floor, self.fl, self.limits = floor, floor.tolist(), limits
         self.cnt = counts.tolist()
 
     def configuration(self):
@@ -104,16 +104,16 @@ def _acquire_start(base, sla):
     """Tables at the reference configuration lifted to the minimum feasible
     point, so predictions are defined.  Every threshold must sit strictly
     above its class's asymptotic response, the sum of its total demands."""
-    if sla.num_classes != base.num_classes:
-        raise ValueError("threshold vector length does not match C")
-    bad = sla.max_response <= base.total_demands().sum(axis=1) + 1e-9
-    if np.count_nonzero(bad):
-        raise UnattainableSla(np.flatnonzero(bad).tolist())
+    total_d, floor = base.totals, base.floor
     # Lifted counts sit above the floor on every station, unless a floor is
     # so large (2**53 and up) that a count next to it rounds onto it; then
     # residence_table reports the station infeasible.
-    lifted = np.maximum(base.ref_config.counts, counts_above(capacity_floor(base)))
-    return _Greedy(base, sla, lifted)
+    lifted = np.maximum(base.ref_config.counts, counts_above(floor))
+    g = _Greedy(total_d, floor, sla.max_response, lifted)
+    bad = sla.max_response <= total_d.sum(axis=1) + 1e-9
+    if np.count_nonzero(bad):
+        raise UnattainableSla(np.flatnonzero(bad).tolist())
+    return g
 
 
 # Both phases keep their tables station-major (row k: station k), so a move
@@ -270,23 +270,16 @@ def acquire(base, sla):
 
 def release(base, sla):
     """Shrink the reference configuration greedily while keeping every
-    threshold satisfied.  The caller guarantees the reference configuration
-    already meets the thresholds.  Returns (configuration, iteration count);
-    the result is Pareto-optimal: no single instance can be removed without
-    breaking capacity or a threshold.
+    threshold satisfied, which the caller guarantees the reference does (one
+    at or below the capacity floor raises InfeasibleConfiguration).  Returns
+    (configuration, iteration count); the result is Pareto-optimal: no
+    single instance can be removed without breaking capacity or a threshold.
 
     Each iteration tries the cheapest removal for the least-slack class by
     the exact trial.  Only after a rejection are the tables consulted: every
     candidate they call doomed is dropped at once, one iteration each.
     """
-    if sla.num_classes != base.num_classes:
-        raise ValueError("threshold vector length does not match C")
-    counts = base.ref_config.counts
-    # No candidate: nothing to build tables for, so a reference at or below
-    # the floor returns as it is.
-    if not np.count_nonzero(counts - 1 > capacity_floor(base)):
-        return base.ref_config, 0
-    g = _Greedy(base, sla, counts)
+    g = _Greedy(base.totals, base.floor, sla.max_response, base.ref_config.counts)
     d = int(((sla.max_response - g.per_class) / sla.max_response).argmin())
     iters = _release_phase(g, d)
     return g.configuration(), iters

@@ -269,15 +269,21 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
     """
     rng = np.random.default_rng(seed)
     C, K = service_means.shape
+    try:  # the instance total as Python ints, which cannot wrap
+        busy = np.zeros(sum(counts.tolist()))
+        visits_ci = np.zeros((C, busy.size), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise ValueError("target %s: too many instances to simulate" % counts.tolist()) from None
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    busy = np.zeros(offsets[-1])
-    visits_ci = np.zeros((C, offsets[-1]), dtype=np.int64)
     residence = np.full((C, K), np.nan)
     residence_hw = np.full((C, K), np.nan)
     # start[c]: external arrival time of each class-c job still in the
     # network; at[c]: the time it reaches its next station, or leaves.
-    start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
-             for lam in rates]
+    try:  # Python floats: a mean past float range is inf, unwarned, and fails the draw
+        start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
+                 for lam in rates.tolist()]
+    except (MemoryError, ValueError):  # or numpy's "lam value too large"
+        raise ValueError("run_length %r makes too large a Poisson mean" % (run_length,)) from None
     at = list(start)
     for k in range(K):
         users = np.flatnonzero(service_means[:, k] > 0)

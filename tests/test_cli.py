@@ -89,6 +89,8 @@ BAD_SCENARIO_VALUES = {
     # Read before the default periods, which would convert it to a float.
     "huge-horizon-with-law": {"horizon": HUGE, "workload": {"base_rates": [1, 1, 1]}},
     "int64-overflow-horizon": {"horizon": 2 ** 63},
+    # A count past int64, refused before numpy's cast could warn.
+    "int64-overflow-initial-config": {"initial_config": [1e19, 1, 1, 1]},
     "huge-C": {"C": HUGE},
     "huge-K": {"K": HUGE},
     # Finite values whose generated inputs overflow: found before step 0,
@@ -533,6 +535,11 @@ def test_output_bytes_pinned(tmp_path, name):
 VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5},
                        {"rates": [HUGE, 1.0]}, {"targets": [[HUGE, 1, 2]]},
                        {"batches": HUGE}, {"batches": 2 ** 63}]
+# Too large to simulate: a config error that names the target or run_length.
+# Only sizes that fail at once: a total of some 1e7 to 1e12 instances may be
+# allocated lazily and then simulated one instance at a time for hours.
+TOO_LARGE_TO_SIMULATE = [{"targets": [[2 ** 62] * 3]}, {"targets": [[2 ** 40] * 3]},
+                         {"run_length": 1e300}]
 
 
 class TestValidate:
@@ -608,7 +615,8 @@ class TestValidate:
         {"targets": [[2, 1]]}, *EMPTY_VALIDATE_LISTS, *REPEATED_VALIDATE_LISTS,
         # Finite values whose totals or floor overflow: a config error, with
         # no RuntimeWarning first.
-        {"demands": [[1e308] * 3] * 2, "ref_config": [2, 2, 2]}, {"rates": [1e308, 1e308]}])
+        {"demands": [[1e308] * 3] * 2, "ref_config": [2, 2, 2]}, {"rates": [1e308, 1e308]},
+        {"ref_config": [1e19, 1, 1]}, {"targets": [[1e19, 1, 2]]}, *TOO_LARGE_TO_SIMULATE])
     def test_malformed_config(self, tmp_path, caplog, override):
         cfg = read_json(VALIDATE_CONFIG)
         cfg.update({"run_length": 100}, **override)
@@ -623,6 +631,9 @@ class TestValidate:
             assert "run_length" in caplog.text
         if override in VALIDATE_KEY_ERRORS + EMPTY_VALIDATE_LISTS + REPEATED_VALIDATE_LISTS:
             assert next(iter(override)) in caplog.text
+        if override in TOO_LARGE_TO_SIMULATE:
+            targets = override.get("targets")
+            assert ("target %s:" % targets[0] if targets else "run_length") in caplog.text
 
     def test_mm1_closed_form(self, tmp_path):
         cfg = {"rates": [0.5], "demands": [[1.0]], "ref_config": [1],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,14 @@ class TestSnapshotConsistency:
         with pytest.raises(ValueError):
             Configuration([1.7, 2])
         np.testing.assert_array_equal(Configuration([2.0, 1.0]).counts, [2, 1])
+
+    @pytest.mark.parametrize("counts", [[1e19, 1], [2 ** 63, 1], [-1e19, 1]])
+    def test_counts_past_int64(self, counts):
+        # Refused before the int64 cast, which would warn or wrap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="int64 range"):
+                Configuration(counts)
 
 
 class TestBoundary:

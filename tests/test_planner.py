@@ -25,7 +25,7 @@ from qnas.planner import (
     release,
 )
 
-from conftest import random_baseline
+from conftest import DEMO_DEMANDS, DEMO_RATES, random_baseline
 
 
 # -- Reference oracle: the original per-candidate planner, kept verbatim. ----
@@ -328,6 +328,19 @@ class TestPlanStep:
         sla = SlaThresholds([6.0, 5.0])
         assert release(rescale_snapshot(demo, [2, 1, 2]), sla)[1] == 0
         assert_same_plan(demo, sla, caps=True)
+
+    # A reference that meets the thresholds sits above its floor; one at or
+    # below it is refused by the table build.
+    @pytest.mark.parametrize("ref, rates, demands, limits, stations", [
+        ([1, 1, 1], DEMO_RATES, DEMO_DEMANDS, [6.0, 5.0], (0, 2)),  # floor [1.5, 2/3, 1.5]
+        ([2, 1, 1], DEMO_RATES, DEMO_DEMANDS, [6.0, 5.0], (2,)),
+        ([1], [1.0], [[1.0]], [5.0], (0,)),                          # floor exactly 1
+    ])
+    def test_release_at_or_below_floor(self, ref, rates, demands, limits, stations):
+        base = make_snapshot([1] * len(ref), rates, demands)
+        with pytest.raises(InfeasibleConfiguration) as exc:
+            release(rescale_snapshot(base, ref), SlaThresholds(limits))
+        assert exc.value.stations == stations
 
     def test_never_violates(self):
         rng = np.random.default_rng(47)
