@@ -207,6 +207,8 @@ def _parse_scenario(v):
     poisson, sla, noise = v["poisson_arrivals"], v["sla"], v["noise"]
     if "window" in v and not poisson:
         raise ConfigError('window needs "poisson_arrivals": true')
+    if "max_response" in sla and "multiplier" in sla:
+        raise ConfigError("sla.max_response and sla.multiplier cannot both be set")
     if noise["relative_sd"] > 0 and "mode" not in noise:
         raise ConfigError('noise: relative_sd > 0 needs "mode": "sampled" '
                           '(or "mode": "none" to switch noise off)')

@@ -50,9 +50,12 @@ class Configuration:
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
-        if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (abs(raw) < 2 ** 63)):
-            raise ValueError("instance counts must be whole numbers in int64 range")
-        counts = np.array(raw, dtype=np.int64)
+        try:  # a Python int past int64, in an object array, fails the cast
+            if raw.dtype.kind == "f" and not np.all((np.trunc(raw) == raw) & (abs(raw) < 2 ** 63)):
+                raise OverflowError
+            counts = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("instance counts must be whole numbers in int64 range") from None
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D vector")
         if np.count_nonzero(counts < 1):
@@ -65,7 +68,7 @@ class Configuration:
 
     @property
     def total(self):
-        return int(self.counts.sum())
+        return sum(self.counts.tolist())  # Python ints, which cannot wrap
 
 
 @dataclass(frozen=True)

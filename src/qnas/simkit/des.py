@@ -269,21 +269,20 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
     """
     rng = np.random.default_rng(seed)
     C, K = service_means.shape
-    try:  # the instance total as Python ints, which cannot wrap
-        busy = np.zeros(sum(counts.tolist()))
+    try:  # everything the arguments size, before the first station
+        busy = np.zeros(sum(counts.tolist()))  # Python ints cannot wrap
         visits_ci = np.zeros((C, busy.size), dtype=np.int64)
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-        raise ValueError("target %s: too many instances to simulate" % counts.tolist()) from None
+        edges = np.linspace(warmup, run_length, batches + 1)[:-1]  # each batch's start
+        start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
+                 for lam in rates.tolist()]  # Python floats overflow to inf unwarned
+    except (MemoryError, ValueError, IndexError):  # too large: array, Poisson mean, linspace count
+        raise ValueError("target %s: too large to simulate at run_length %r with %d batches"
+                         % (counts.tolist(), run_length, batches)) from None
     offsets = np.concatenate(([0], np.cumsum(counts)))
     residence = np.full((C, K), np.nan)
     residence_hw = np.full((C, K), np.nan)
     # start[c]: external arrival time of each class-c job still in the
     # network; at[c]: the time it reaches its next station, or leaves.
-    try:  # Python floats: a mean past float range is inf, unwarned, and fails the draw
-        start = [np.sort(rng.uniform(0.0, run_length, rng.poisson(lam * run_length)))
-                 for lam in rates.tolist()]
-    except (MemoryError, ValueError):  # or numpy's "lam value too large"
-        raise ValueError("run_length %r makes too large a Poisson mean" % (run_length,)) from None
     at = list(start)
     for k in range(K):
         users = np.flatnonzero(service_means[:, k] > 0)
@@ -326,14 +325,13 @@ def des_loop(rates, service_means, counts, discipline, run_length, warmup, seed,
             d_c = dep[lo:hi]
             done = d_c <= run_length
             left = d_c[done]
-            residence[c, k], residence_hw[c, k] = _batch_stats(
-                left - at[c][done], left, warmup, run_length, batches)
+            residence[c, k], residence_hw[c, k] = _batch_stats(left - at[c][done], left, edges)
             start[c] = start[c][done]
             at[c] = left
             lo = hi
         del dep, d_c, done
     completions = np.array([np.count_nonzero(t >= warmup) for t in at], dtype=np.int64)
-    response, response_hw = np.array([_batch_stats(t - s, t, warmup, run_length, batches)
+    response, response_hw = np.array([_batch_stats(t - s, t, edges)
                                       for t, s in zip(at, start)]).reshape(C, 2).T
     window = run_length - warmup
     util_inst = busy / window
@@ -368,13 +366,13 @@ def _t975(df):
     return hi
 
 
-def _batch_stats(values, times, t0, t1, batches):
-    """Batch means by event time over [t0, t1]; returns (mean, halfwidth).
-    Batch i is bin i + 1: bin 0, the values timed before t0, is dropped,
-    and a time at t1 falls in the last batch."""
-    idx = np.searchsorted(np.linspace(t0, t1, batches + 1)[:-1], times, side="right")
-    sums = np.bincount(idx, weights=values, minlength=batches + 1)[1:]
-    cnts = np.bincount(idx, minlength=batches + 1)[1:]
+def _batch_stats(values, times, edges):
+    """Batch means by event time, `edges` holding each batch's start time;
+    returns (mean, halfwidth).  Batch i is bin i + 1: bin 0, the values
+    timed before edges[0], is dropped, and the last batch runs to the end."""
+    idx = np.searchsorted(edges, times, side="right")
+    sums = np.bincount(idx, weights=values, minlength=edges.size + 1)[1:]
+    cnts = np.bincount(idx, minlength=edges.size + 1)[1:]
     ok = cnts > 0
     b = int(np.count_nonzero(ok))
     if b == 0:

@@ -129,12 +129,19 @@ def summarize(totals, acq, rel):
 
 def run_scenario(spec):
     """Execute the control loop over the whole horizon."""
-    demands = spec.demands or gen_demands(DemandLaw(spec.num_classes, spec.num_stations,
-                                                    seed=subseed(spec.master_seed, "demands")))
+    C, K, T = spec.num_classes, spec.num_stations, spec.horizon
+    try:  # everything C, K and the horizon size, before step 0
+        counts = np.empty((T, K), dtype=np.int64)
+        predicted = np.empty((T, C))
+        acq, rel = np.empty(T, dtype=np.int64), np.empty(T, dtype=np.int64)
+        demands = spec.demands or gen_demands(
+            DemandLaw(C, K, seed=subseed(spec.master_seed, "demands")))
+        law = spec.workload or default_law(C, T, seed=subseed(spec.master_seed, "workload-law"))
+        series = gen_arrival_series(law, T, seed=subseed(spec.master_seed, "workload"))
+    except (MemoryError, ValueError):  # past numpy's largest array
+        raise ValueError("C=%d, K=%d and horizon %d are too large to simulate"
+                         % (C, K, T)) from None
     sla = spec.sla or default_thresholds(demands, spec.sla_multiplier)
-    law = spec.workload or default_law(spec.num_classes, spec.horizon,
-                                       seed=subseed(spec.master_seed, "workload-law"))
-    series = gen_arrival_series(law, spec.horizon, seed=subseed(spec.master_seed, "workload"))
     # Checked once here, so each step hands observe typed, read-only rates
     # that it takes as they are; Poisson draws are finite and >= 0 as drawn.
     if not _finite_nonneg(series):
@@ -148,14 +155,14 @@ def run_scenario(spec):
         except ValueError:  # numpy's "lam value too large"
             raise ValueError("window %r times the arrival rates is too large a Poisson mean"
                              % (spec.poisson_window,)) from None
+    # An overloaded step lifts its counts above the capacity floor
+    # rates @ demands, which each class's peak rate bounds.
+    with np.errstate(over="ignore"):
+        if not np.maximum.reduce(series.max(axis=0) @ demands.demands) < np.inf:
+            raise ValueError("demands times the peak arrival rates overflow the capacity floor")
     _frozen(series)
-    config = spec.initial_config or Configuration(np.ones(spec.num_stations, dtype=np.int64))
+    config = spec.initial_config or Configuration(np.ones(K, dtype=np.int64))
     noise = spec.noise
-
-    T = spec.horizon
-    counts = np.empty((T, spec.num_stations), dtype=np.int64)
-    predicted = np.empty(series.shape)
-    acq, rel = np.empty(T, dtype=np.int64), np.empty(T, dtype=np.int64)
     for t in range(T):
         rates = series[t]
         arrivals = _trusted(ArrivalRates, rates=rates)

@@ -26,9 +26,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # NaN fails both bounds.
-        if not 0 <= self.relative_sd < np.inf:
-            raise ValueError("relative_sd must be finite and >= 0")
+        # NaN fails both bounds.  Below 2**512, sd**2 and so observe's
+        # lognormal sigma, sqrt(log(1 + sd**2)), are finite.
+        if not 0 <= self.relative_sd < 2.0 ** 512:
+            raise ValueError("relative_sd must lie in [0, 2**512), where its square is finite")
 
 
 NO_NOISE = NoiseSpec()

@@ -93,12 +93,22 @@ BAD_SCENARIO_VALUES = {
     "int64-overflow-initial-config": {"initial_config": [1e19, 1, 1, 1]},
     "huge-C": {"C": HUGE},
     "huge-K": {"K": HUGE},
+    # Sizes too large to allocate, found before step 0; smaller ones, some
+    # 1e9, may be allocated lazily and then run for hours.
+    "unallocatable-C": {"C": 10 ** 15},
+    "unallocatable-K": {"K": 10 ** 15},
+    "unallocatable-horizon": {"horizon": 10 ** 15},
     # Finite values whose generated inputs overflow: found before step 0,
     # with no RuntimeWarning first.
     "overflowing-thresholds": {"sla": {"multiplier": 1e308}, "demands": [[1.0] * 4] * 3},
     "overflowing-poisson-mean": {"poisson_arrivals": True, "window": 1e30},
     "overflowing-rates": {"workload": {"base_rates": [1e308, 1, 1], "amplitudes": [0.99, 0, 0],
                                        "phases": [1.5707963, 0, 0]}},
+    "overflowing-floor": {"demands": [[1e308, 0.5, 0.5, 0.5], [0.5] * 4, [0.5] * 4],
+                          "sla": {"max_response": [5.0, 5.0, 5.0]}},
+    "overflowing-relative-sd": {"noise": {"mode": "sampled", "relative_sd": 1e308}},
+    # Thresholds given and a multiplier to derive them: one must go.
+    "sla-both-keys": {"sla": {"max_response": [5.0, 5.0, 5.0], "multiplier": 50}},
 }
 # A sweep reads master_seed itself and rejects the whole grid on it
 # (TestSweep.test_malformed_grid); in `run` it is a scenario key.
@@ -118,6 +128,9 @@ ERROR_KEY_PATHS = {
     "huge-multiplier": "sla.multiplier", "huge-base-rates": "workload.base_rates",
     "huge-demands": "demands", "huge-horizon": "horizon", "huge-horizon-with-law": "horizon",
     "int64-overflow-horizon": "horizon", "null-workload": "workload", "scalar-sla": "sla",
+    "unallocatable-C": "C=1000000000000000", "unallocatable-K": "K=1000000000000000",
+    "unallocatable-horizon": "horizon 1000000000000000", "overflowing-floor": "demands",
+    "overflowing-relative-sd": "relative_sd", "sla-both-keys": "sla.max_response and sla.multiplier",
 }
 # A wrong length is reported by the model type that holds the value; its
 # config error begins with the field.
@@ -399,6 +412,17 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "sweep.csv")
         assert "ERROR" in rows[0]
 
+    def test_unallocatable_cell_after_good_one(self, tmp_path, capsys):
+        # A cell too large to allocate is an ERROR row; the sweep goes on,
+        # keeps the good cell and, unless quiet, counts the failure.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"C_values": [3, 10 ** 15], "K_values": [4], "horizon": 3,
+                                    "seeds": [0]}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == "1 cell(s) failed\n"
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert "ERROR" not in rows[0] and rows[1] == ["0", str(10 ** 15), "4"] + ["ERROR"] * 9
+
     @pytest.mark.parametrize("name", sorted(BAD_SCENARIO_VALUES))
     def test_out_of_range_cell(self, tmp_path, name):
         cfg = bad_scenario(name)
@@ -535,11 +559,14 @@ def test_output_bytes_pinned(tmp_path, name):
 VALIDATE_KEY_ERRORS = [{"rates": ["2.0", "1.0"]}, {"warmup_fraction": "0.2"}, {"out_dir": 5},
                        {"rates": [HUGE, 1.0]}, {"targets": [[HUGE, 1, 2]]},
                        {"batches": HUGE}, {"batches": 2 ** 63}]
-# Too large to simulate: a config error that names the target or run_length.
+# Too large to simulate: a config error that names the target, run_length and batches.
 # Only sizes that fail at once: a total of some 1e7 to 1e12 instances may be
 # allocated lazily and then simulated one instance at a time for hours.
 TOO_LARGE_TO_SIMULATE = [{"targets": [[2 ** 62] * 3]}, {"targets": [[2 ** 40] * 3]},
-                         {"run_length": 1e300}]
+                         {"run_length": 1e300},
+                         # A batch grid too large to allocate, found before any draw;
+                         # numpy's linspace fails on the second with an IndexError.
+                         {"batches": 10 ** 15}, {"batches": 2 ** 63 - 1}]
 
 
 class TestValidate:

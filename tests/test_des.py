@@ -180,6 +180,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=setting):
             des_validate(base, [1], "ps", **kwargs)
 
+    def test_oversized_batches_fail_before_any_draw(self, monkeypatch):
+        # The batch grid is sized with the counters, before the arrivals
+        # are drawn, so a grid too large to allocate fails with no draw.
+        class NoDraws:
+            def __getattr__(self, name):
+                pytest.fail("drew %s before the batch grid was sized" % name)
+
+        monkeypatch.setattr(des.np.random, "default_rng", lambda seed: NoDraws())
+        base = make_snapshot([1], [0.5], [[1.0]])
+        for batches in (10 ** 15, 2 ** 63 - 1):
+            with pytest.raises(ValueError, match="run_length 100.0 with %d batches" % batches):
+                des_validate(base, [1], "ps", run_length=100.0, batches=batches)
+
     def test_deterministic_per_seed(self):
         base = make_snapshot([1], [0.5], [[1.0]])
         a = des_validate(base, [1], "ps", run_length=1e3, seed=3)
@@ -243,36 +256,36 @@ class TestStudentT:
 
 class TestBatchStats:
     """_batch_stats, the one reducer of every DES statistic, on [0, 10] in
-    two batches.  A value timed before t0 counts in no batch."""
+    two batches.  A value timed before 0 counts in no batch."""
+
+    GRID = np.linspace(0.0, 10.0, 3)[:-1]  # each batch's start time
 
     def test_no_values(self):
-        mean, hw = des._batch_stats(np.empty(0), np.empty(0), 0.0, 10.0, 2)
+        mean, hw = des._batch_stats(np.empty(0), np.empty(0), self.GRID)
         assert np.isnan(mean) and np.isnan(hw)
-        mean, hw = des._batch_stats(np.array([1.0, 2.0]), np.array([-3.0, -0.5]), 0.0, 10.0, 2)
+        mean, hw = des._batch_stats(np.array([1.0, 2.0]), np.array([-3.0, -0.5]), self.GRID)
         assert np.isnan(mean) and np.isnan(hw)
 
     def test_one_batch(self):
-        mean, hw = des._batch_stats(np.array([1.0, 2.0, 6.0]), np.array([0.0, 1.0, 4.0]),
-                                    0.0, 10.0, 2)
+        mean, hw = des._batch_stats(np.array([1.0, 2.0, 6.0]), np.array([0.0, 1.0, 4.0]), self.GRID)
         assert (mean, hw) == (3.0, np.inf)
         assert des._batch_stats(np.array([1.0, 50.0, 2.0, 6.0]), np.array([0.0, -1.0, 1.0, 4.0]),
-                                0.0, 10.0, 2) == (mean, hw)
+                                self.GRID) == (mean, hw)
 
     def test_two_batches(self):
         # Batch means 2 and 6: the estimate is their mean, not the mean of
         # the three values, and t(0.975, 1) = tan(0.475 pi).
-        mean, hw = des._batch_stats(np.array([1.0, 3.0, 6.0]), np.array([0.0, 4.0, 5.0]),
-                                    0.0, 10.0, 2)
+        mean, hw = des._batch_stats(np.array([1.0, 3.0, 6.0]), np.array([0.0, 4.0, 5.0]), self.GRID)
         assert mean == 4.0
         assert hw == pytest.approx(12.706204736174707 * np.std([2.0, 6.0], ddof=1) / np.sqrt(2),
                                    rel=1e-12)
         assert des._batch_stats(np.array([50.0, 1.0, 3.0, 6.0]), np.array([-1.0, 0.0, 4.0, 5.0]),
-                                0.0, 10.0, 2) == (mean, hw)
+                                self.GRID) == (mean, hw)
 
     def test_end_time_in_last_batch(self):
         values = np.array([1.0, 5.0])
-        at_end = des._batch_stats(values, np.array([0.0, 10.0]), 0.0, 10.0, 2)
-        assert at_end == des._batch_stats(values, np.array([0.0, 9.0]), 0.0, 10.0, 2)
+        at_end = des._batch_stats(values, np.array([0.0, 10.0]), self.GRID)
+        assert at_end == des._batch_stats(values, np.array([0.0, 9.0]), self.GRID)
         assert at_end[0] == 3.0 and np.isfinite(at_end[1])
 
 

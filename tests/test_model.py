@@ -223,6 +223,23 @@ class TestSnapshotConsistency:
             with pytest.raises(ValueError, match="int64 range"):
                 Configuration(counts)
 
+    @pytest.mark.parametrize("counts", [[2 ** 64, 1], [-2 ** 63 - 1, 1]])
+    def test_python_ints_past_int64(self, counts):
+        # An object array of Python ints fails the cast itself.
+        with pytest.raises(ValueError, match="int64 range"):
+            Configuration(counts)
+
+    def test_total_past_int64(self):
+        # Summed as Python ints, not wrapped in int64.
+        assert Configuration([2 ** 62] * 4).total == 2 ** 64
+
+    def test_vectors_only(self):
+        from qnas.planner import SlaThresholds
+        for cls, name in ((Configuration, "counts"), (ArrivalRates, "rates"),
+                          (SlaThresholds, "max_response")):
+            with pytest.raises(ValueError, match=name + " must be a 1-D vector"):
+                cls([[1.0, 2.0]])
+
 
 class TestBoundary:
     """Bad input raises at the public entry points; what a snapshot keeps or

@@ -56,6 +56,13 @@ class TestWorkloadLaw:
         with pytest.raises(ValueError, match="must list|must be a vector"):
             WorkloadLaw(*vectors)
 
+    @pytest.mark.parametrize("rho", [-0.1, 1.0, np.nan])
+    def test_persistence_in_unit_interval(self, rho):
+        # rho = 1 would leave the AR(1) innovations no variance.
+        with pytest.raises(ValueError, match="persistence"):
+            WorkloadLaw([1.0], [0.5], [10.0], [0.0], perturbation_sd=0.1,
+                        perturbation_persistence=rho)
+
 
 class TestGenArrivalSeries:
     def test_degenerate_constant(self):
