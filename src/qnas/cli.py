@@ -90,7 +90,7 @@ _MATRIX = _Kind("a list of equal-length lists of numbers",
 # The lists that select what runs must select something, and validate's
 # lists each thing once: a repeat would simulate it again with one seed.
 _WHOLES = _Kind("a non-empty list of whole numbers", _list_of(_WHOLE.test, 1),
-                lambda v: [int(x) for x in v])
+                lambda v: [*map(_WHOLE.convert, v)])
 _VECTORS = _Kind("a non-empty list of distinct lists of numbers",
                  _list_of(_VECTOR.test, 1, True), lambda v: [*map(_array, v)])
 _DISCIPLINES = _Kind("a non-empty list of distinct 'ps' or 'fcfs'",
@@ -237,7 +237,7 @@ def _load_config(args):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("invalid JSON: %s" % exc) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be an object")
@@ -405,6 +405,10 @@ def main(argv=None):
         # The loop stopped: unattainable, overloaded, infeasible or capped.
         log.error("run stopped: %s", exc)
         return EXIT_UNATTAINABLE
+    except OSError as exc:
+        # Reading the config is a ConfigError, so this is an output write.
+        log.error("cannot write output: %s", exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":
